@@ -147,9 +147,7 @@ def build_csr(
                 values[s:e] = vals[s:e]
             ctx.charge(Cost(reads=e - s, writes=(2 if values is not None else 1) * (e - s)))
 
-    executor.parallel(
-        [_bind(scatter, cid) for cid in range(executor.p)], label="build:scatter"
-    )
+    executor.map_chunks(scatter, range(executor.p), label="build:scatter")
 
     if compact:
         indptr = indptr.astype(min_uint_dtype(m))
@@ -186,10 +184,7 @@ def _parallel_sort_edges(src, dst, vals, n: int, executor: Executor):
                 out_vals[s:e] = vals[piece]
             ctx.charge(Cost(reads=3 * (e - s), writes=2 * (e - s)))
 
-    executor.parallel(
-        [_bind(apply_chunk, cid) for cid in range(executor.p)],
-        label="build:sort-apply",
-    )
+    executor.map_chunks(apply_chunk, range(executor.p), label="build:sort-apply")
     return out_src, out_dst, out_vals
 
 
@@ -208,10 +203,3 @@ def build_csr_serial(sources, destinations, n: int, *, sort: bool = False) -> CS
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
     return CSRGraph(indptr, dst.copy(), validate=False)
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

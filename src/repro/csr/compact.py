@@ -27,6 +27,7 @@ from ..bitpack.delta import row_gaps
 from ..bitpack.fixed import unpack_fields_gather, unpack_fixed
 from ..bitpack.segcodec import decode_rows, encode_row_segment, resolve_codecs
 from ..errors import QueryError, ValidationError
+from ..query.stores import dedup_batch
 from ..utils import bits_for_count, bits_for_value, human_bytes
 from .graph import CSRGraph
 from .packed import pack_array_parallel
@@ -192,25 +193,18 @@ class CompactStore:
         Returns ``(flat, offsets)`` with row *i* at
         ``flat[offsets[i]:offsets[i + 1]]`` — values and dtype identical
         to the equivalent :class:`~repro.csr.packed.BitPackedCSR`.
+        Each distinct row is decoded once (see
+        :func:`~repro.query.stores.dedup_batch`).
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return np.zeros(0, dtype=np.uint64), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-        uniq, inv = np.unique(us, return_inverse=True)
+        return dedup_batch(self, unodes, self._decode_distinct)
+
+    def _decode_distinct(self, uniq: np.ndarray):
+        """Rows of the sorted distinct ids *uniq*, one group per segment."""
         pairs, _ = unpack_fields_gather(
             self.offsets, self.offset_width, uniq, np.full(uniq.shape[0], 2, np.int64)
         )
         field_starts = pairs[0::2].astype(np.int64)
         degrees = pairs[1::2].astype(np.int64) - field_starts
-
-        uniq_offs = np.zeros(uniq.shape[0] + 1, dtype=np.int64)
-        np.cumsum(degrees, out=uniq_offs[1:])
-        uniq_flat = np.zeros(int(uniq_offs[-1]), dtype=np.uint64)
-
         seg = (
             np.searchsorted(self._seg_first_row, uniq, side="right") - 1
             if self.segments
@@ -232,16 +226,7 @@ class CompactStore:
                 degrees[pos],
                 field_starts[pos] - spec.first_field,
             )
-            index = np.repeat(uniq_offs[pos] - offs_s[:-1], degrees[pos])
-            index += np.arange(flat_s.shape[0], dtype=np.int64)
-            uniq_flat[index] = flat_s
-
-        counts_q = degrees[inv]
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts_q, out=offsets[1:])
-        index = np.repeat(uniq_offs[inv] - offsets[:-1], counts_q)
-        index += np.arange(int(offsets[-1]), dtype=np.int64)
-        return uniq_flat[index], offsets
+            yield pos, flat_s, offs_s
 
     def has_edge(self, u: int, v: int) -> bool:
         """Decode *u*'s row, then binary search."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QueryError, ValidationError
+from ..query.stores import check_batch
 from ..utils import human_bytes, min_uint_dtype, require
 
 __all__ = ["CSRGraph", "MemoryBreakdown"]
@@ -134,13 +135,9 @@ class CSRGraph:
         requested row (same dtype as :attr:`indices`) plus ``int64``
         offsets delimiting row *i* as ``flat[offsets[i]:offsets[i+1]]``.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
+        us = check_batch(unodes, self.num_nodes)
         if us.size == 0:
             return self.indices[:0], np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
         starts = self.indptr[us].astype(np.int64)
         counts = self.indptr[us + 1].astype(np.int64) - starts
         offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)

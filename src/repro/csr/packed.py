@@ -21,6 +21,7 @@ from ..errors import QueryError, ValidationError
 from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
+from ..query.stores import check_batch
 from ..utils import bits_for_count, bits_for_value, human_bytes, require
 from .getrow import (
     get_row_from_csr,
@@ -61,9 +62,7 @@ def pack_array_parallel(
         ctx.charge(Cost(reads=e - s, bit_ops=(e - s) * width))
         return chunk_bits
 
-    chunks = executor.parallel(
-        [_bind(pack_chunk, cid) for cid in range(executor.p)], label=f"{label}:pack"
-    )
+    chunks = executor.map_chunks(pack_chunk, range(executor.p), label=f"{label}:pack")
 
     def merge(ctx: TaskContext):
         out = BitArray.zeros(n * width)
@@ -230,13 +229,9 @@ class BitPackedCSR:
         ``flat[offsets[i]:offsets[i + 1]]`` — values and dtype identical
         to per-row :meth:`neighbors` calls.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
+        us = check_batch(unodes, self.num_nodes)
         if us.size == 0:
             return np.zeros(0, dtype=np.uint64), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
         pairs, _ = unpack_fields_gather(
             self.offsets, self.offset_width, us, np.full(us.shape[0], 2, np.int64)
         )
@@ -402,10 +397,3 @@ def build_bitpacked_csr(
     executor = executor or SerialExecutor()
     graph = build_csr(sources, destinations, n, executor, weights=weights, sort=sort)
     return BitPackedCSR.from_csr(graph, executor, gap_encode=gap_encode)
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

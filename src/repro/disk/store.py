@@ -31,6 +31,7 @@ from ..bitpack.fixed import read_fields, unpack_fixed
 from ..bitpack.segcodec import decode_rows as _decode_codec_rows
 from ..csr.getrow import get_rows_from_csr, get_rows_gap_decoded
 from ..errors import QueryError
+from ..query.stores import dedup_batch
 from ..utils import human_bytes
 from .format import MANIFEST_NAME, PAGE_BYTES, Manifest
 
@@ -294,23 +295,16 @@ class DiskStore:
         set of pages no matter how large the graph is.  Values and
         dtype are bit-exact with :class:`~repro.csr.BitPackedCSR`.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return np.zeros(0, dtype=np.uint64), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
+        return dedup_batch(self, unodes, self._decode_distinct)
 
-        uniq, inv = np.unique(us, return_inverse=True)
+    def _decode_distinct(self, uniq: np.ndarray):
+        """Rows of the sorted distinct ids *uniq*, one group per column
+        segment, metering the pages each decode reads."""
         fields = np.unique(np.concatenate([uniq, uniq + 1]))
         vals = self._read_offset_fields(fields).astype(np.int64)
         starts = vals[np.searchsorted(fields, uniq)]
         degrees = vals[np.searchsorted(fields, uniq + 1)] - starts
 
-        flat_starts = np.zeros(uniq.shape[0], dtype=np.int64)
-        chunks: list[np.ndarray] = []
-        base = 0
         if self._col_first_row.size:
             seg = np.searchsorted(self._col_first_row, uniq, side="right") - 1
         else:
@@ -363,22 +357,8 @@ class DiskStore:
                     lo_bits = pay_base + b0
                     hi_bits = pay_base + b1 - 1
                 self._record_bit_windows(file_id, lo_bits, hi_bits)
-            flat_starts[pos] = base + offs_s[:-1]
-            chunks.append(flat_s)
-            base += flat_s.shape[0]
+            yield pos, flat_s, offs_s
         self._flush_pages()
-        src_flat = (
-            chunks[0] if len(chunks) == 1 else
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
-        )
-
-        counts_q = degrees[inv]
-        starts_q = flat_starts[inv]
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts_q, out=offsets[1:])
-        index = np.repeat(starts_q - offsets[:-1], counts_q)
-        index += np.arange(int(offsets[-1]), dtype=np.int64)
-        return src_flat[index], offsets
 
     def has_edge(self, u: int, v: int) -> bool:
         """Decode *u*'s row, then binary search (as the packed store)."""

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QueryError, ValidationError
+from ..query.capabilities import capabilities
+from ..query.stores import dedup_batch
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes, require
 from .memtable import DeltaMemtable
@@ -87,6 +89,7 @@ class LsmStore:
         "write_noops",
         "compactions",
         "flushes",
+        "take_page_touches",
         "_num_edges",
         "_merged_cache",
         "_base_cache",
@@ -125,6 +128,9 @@ class LsmStore:
         self.write_noops = 0
         self.compactions = 0
         self.flushes = 0
+        if segments and all(capabilities(s).counts_page_touches for s in segments):
+            # page metering is on offer exactly when every segment meters
+            self.take_page_touches = self._take_segment_pages
         # merged (base ∪ delta) rows, memoised per dirty node: hub-skewed
         # traffic re-reads the same written rows far more often than it
         # writes them, so each hot row pays the python merge once.  The
@@ -220,38 +226,34 @@ class LsmStore:
         return self._merged_row(int(u))
 
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk row fetch — ``(flat, offsets)``.
+        """Bulk row fetch — ``(flat, offsets)``, each distinct row
+        fetched once (see :func:`~repro.query.stores.dedup_batch`).
 
         Clean batches over a single segment pass straight through the
-        segment's own vectorised kernel (same dtype, zero merge work);
-        otherwise rows are fetched through the segment batch path and
-        dirty rows patched with their memtable delta.
+        segment's own vectorised kernel (zero merge work); otherwise
+        rows are fetched through the segment batch path and dirty rows
+        patched with their memtable delta.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size and (int(us.min()) < 0 or int(us.max()) >= self.num_nodes):
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-        clean = True
-        if len(self.memtable):
-            is_dirty = self.memtable.is_dirty
-            for u in us.tolist():
-                if is_dirty(u):
-                    clean = False
-                    break
+        return dedup_batch(self, unodes, self._decode_distinct)
+
+    def _decode_distinct(self, uniq: np.ndarray):
+        """The merged rows of the sorted distinct ids *uniq*, as one
+        ``int64`` group."""
+        ids = uniq.tolist()
+        is_dirty = self.memtable.is_dirty
+        clean = not len(self.memtable) or not any(is_dirty(u) for u in ids)
         if clean and len(self.segments) == 1:
-            flat, offs = _store_batch(self.segments[0], us)
-            return flat.astype(np.int64, copy=False), offs
-        if us.size == 0:
-            return np.zeros(0, dtype=self.row_dtype), np.zeros(1, np.int64)
-        rows: list = [None] * us.shape[0]
+            flat, offs = _store_batch(self.segments[0], uniq)
+            yield slice(None), flat.astype(np.int64, copy=False), offs
+            return
+        rows: list = [None] * len(ids)
         if len(self.segments) == 1:
             # serve memoised rows straight from the per-node caches and
             # batch-decode only the remainder, so a hub row written and
             # re-read under skewed traffic decodes its segment base
             # once per compaction epoch, not once per write
             fetch: list[int] = []
-            for i, u in enumerate(us.tolist()):
+            for i, u in enumerate(ids):
                 row = self._merged_cache.get(u)
                 if row is None and u in self._base_cache:
                     row = self._merged_row(u)
@@ -260,29 +262,21 @@ class LsmStore:
                 else:
                     rows[i] = row
             if fetch:
-                sub = us[np.asarray(fetch, dtype=np.int64)]
+                sub = uniq[np.asarray(fetch, dtype=np.int64)]
                 flat, offs = _store_batch(self.segments[0], sub)
                 flat = flat.astype(np.int64, copy=False)
                 for j, i in enumerate(fetch):
-                    u = int(us[i])
+                    u = ids[i]
                     base = flat[offs[j]: offs[j + 1]]
                     rows[i] = (
-                        self._merged_row(u, base=base)
-                        if self.memtable.is_dirty(u)
-                        else base
+                        self._merged_row(u, base=base) if is_dirty(u) else base
                     )
         else:
-            for i, u in enumerate(us.tolist()):
-                rows[i] = (
-                    self._merged_row(u)
-                    if self.memtable.is_dirty(u)
-                    else self._base_row(u)
-                )
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
+            for i, u in enumerate(ids):
+                rows[i] = self._merged_row(u) if is_dirty(u) else self._base_row(u)
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([r.shape[0] for r in rows], out=offsets[1:])
-        flat = (np.concatenate(rows) if rows
-                else np.zeros(0, dtype=np.int64))
-        return flat.astype(np.int64, copy=False), offsets
+        yield slice(None), np.concatenate(rows).astype(np.int64, copy=False), offsets
 
     def degree(self, u: int) -> int:
         """Out-degree of *u* under the merged view."""
@@ -469,24 +463,13 @@ class LsmStore:
             self.memtable.memory_bytes()
         ) + int(memo)
 
-    def __getattr__(self, name: str):
-        # Conditional page-touch surface: present exactly when every
-        # segment meters mapped pages, mirroring ShardedStore.
-        if name == "take_page_touches":
-            try:
-                segments = object.__getattribute__(self, "segments")
-            except AttributeError:
-                raise AttributeError(name) from None
-            if segments and all(
-                callable(getattr(s, "take_page_touches", None))
-                for s in segments
-            ):
-                def take_page_touches() -> int:
-                    """Drain every segment's distinct-page counter."""
-                    return sum(int(s.take_page_touches()) for s in segments)
-
-                return take_page_touches
-        raise AttributeError(name)
+    def _take_segment_pages(self) -> int:
+        """Drain every metering segment's distinct-page counter (summed)."""
+        return sum(
+            int(s.take_page_touches())
+            for s in self.segments
+            if capabilities(s).counts_page_touches
+        )
 
     def __repr__(self) -> str:
         return (

@@ -72,9 +72,7 @@ def parallel_argsort(
         )
         return local
 
-    locals_ = executor.parallel(
-        [_bind(local_sort, cid) for cid in range(p)], label="sort:local"
-    )
+    locals_ = executor.map_chunks(local_sort, range(p), label="sort:local")
     locals_ = [loc for loc in locals_ if loc is not None]
 
     # Phase 2 — splitters from regular samples (serial, tiny).
@@ -125,9 +123,7 @@ def parallel_argsort(
         )
         return bucket[order]
 
-    buckets = executor.parallel(
-        [_bind(merge_bucket, cid) for cid in range(p)], label="sort:merge"
-    )
+    buckets = executor.map_chunks(merge_bucket, range(p), label="sort:merge")
 
     def concatenate(ctx: TaskContext):
         nonempty = [b for b in buckets if b is not None and b.size]
@@ -138,10 +134,3 @@ def parallel_argsort(
         return out
 
     return executor.serial(concatenate, label="sort:concat")
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

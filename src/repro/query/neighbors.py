@@ -15,11 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import QueryError
 from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
-from .stores import GraphStore, capabilities, neighbors_batch, row_decode_cost
+from .stores import (
+    GraphStore,
+    capabilities,
+    check_batch,
+    neighbors_batch,
+    row_decode_cost,
+)
 
 __all__ = ["batch_neighbors"]
 
@@ -37,12 +42,7 @@ def batch_neighbors(
     """
     executor = executor or SerialExecutor()
     caps = capabilities(store)
-    queries = np.asarray(unodes, dtype=np.int64)
-    if queries.ndim != 1:
-        raise QueryError("query array must be 1-D")
-    n = store.num_nodes
-    if queries.size and (int(queries.min()) < 0 or int(queries.max()) >= n):
-        raise QueryError(f"query ids must lie in [0, {n})")
+    queries = check_batch(unodes, store.num_nodes)
 
     results: list[np.ndarray | None] = [None] * queries.shape[0]
     bounds = chunk_bounds(queries.shape[0], executor.p)
@@ -67,16 +67,6 @@ def batch_neighbors(
             Cost(reads=e - s, writes=e - s, bit_ops=decode_units, page_touches=pages)
         )
 
-    executor.parallel(
-        [_bind(run_chunk, cid) for cid in range(executor.p)],
-        label="query:neighbors",
-    )
+    executor.map_chunks(run_chunk, range(executor.p), label="query:neighbors")
     empty = np.zeros(0, dtype=caps.row_dtype)
     return [row if row is not None else empty for row in results]
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

@@ -19,8 +19,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..utils import require
+from .stores import capabilities, row_dtype
 from .stores import neighbors_batch as _store_batch
-from .stores import row_dtype
 
 __all__ = ["RowCache", "RowCacheStats"]
 
@@ -67,6 +67,7 @@ class RowCache:
         "misses",
         "evictions",
         "invalidations",
+        "take_page_touches",
         "_rows",
         "_elements",
     )
@@ -81,6 +82,10 @@ class RowCache:
         self.invalidations = 0
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._elements = 0
+        if capabilities(store).counts_page_touches:
+            # a cache over an out-of-core store stays meterable: hits
+            # fault no pages, misses delegate
+            self.take_page_touches = store.take_page_touches
 
     # -- store surface --------------------------------------------------
     @property
@@ -160,21 +165,6 @@ class RowCache:
         return int(self.store.memory_bytes()) + sum(
             row.nbytes for row in self._rows.values()
         )
-
-    def __getattr__(self, name: str):
-        # Conditional page-touch surface: a cache over an out-of-core
-        # store stays meterable (hits fault no pages, misses delegate),
-        # while a cache over an in-memory store keeps not advertising
-        # the capability.
-        if name == "take_page_touches":
-            try:
-                store = object.__getattribute__(self, "store")
-            except AttributeError:
-                raise AttributeError(name) from None
-            inner = getattr(store, "take_page_touches", None)
-            if callable(inner):
-                return inner
-        raise AttributeError(name)
 
     # -- cache mechanics ------------------------------------------------
     def _insert(self, u: int, row: np.ndarray) -> None:

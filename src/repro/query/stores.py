@@ -18,12 +18,15 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..errors import QueryError
 from .capabilities import StoreCapabilities, capabilities
 
 __all__ = [
     "GraphStore",
     "StoreCapabilities",
     "capabilities",
+    "check_batch",
+    "dedup_batch",
     "neighbors_batch",
     "row_decode_cost",
     "row_dtype",
@@ -46,6 +49,24 @@ class GraphStore(Protocol):
         module-level :func:`neighbors_batch` dispatcher falls back to
         per-row :meth:`neighbors` calls, so baseline stores work
         unchanged.
+
+        The batch contract, on every path: *unodes* is a 1-D batch of
+        ids in ``[0, num_nodes)`` in any order, repeats allowed, and
+        row *i* of the result belongs to ``unodes[i]``.  Anything else
+        raises a one-line :class:`~repro.errors.QueryError` from
+        :func:`check_batch`; an empty batch returns an empty ``flat``
+        and ``offsets == [0]``.  Stores dedup in one place,
+        :func:`dedup_batch`: the compact, disk, sharded, reordered and
+        LSM stores pass it a private decode of the sorted distinct ids
+        and it expands those rows back to caller order.
+        :class:`~repro.csr.CSRGraph` and
+        :class:`~repro.csr.BitPackedCSR` decode in caller order without
+        a dedup, since their per-row decode is cheaper than
+        ``np.unique``.
+    ``take_page_touches() -> int``
+        Drain the count of distinct memory-mapped pages faulted since
+        the last drain.  Wrapping stores set it at construction
+        exactly when every store they wrap meters pages.
     ``row_dtype``
         Dtype of decoded neighbour rows.  Defaults to the ``indices``
         dtype for array-backed stores, ``uint64`` for packed stores,
@@ -100,13 +121,62 @@ def neighbors_batch(
     caps = caps if caps is not None else capabilities(store)
     if caps.has_native_batch:
         return store.neighbors_batch(unodes)
-    us = np.asarray(unodes, dtype=np.int64)
+    us = check_batch(unodes, store.num_nodes)
     rows = [store.neighbors(int(u)) for u in us]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([r.shape[0] for r in rows], out=offsets[1:])
     if not rows:
         return np.zeros(0, dtype=caps.row_dtype), offsets
     return np.concatenate(rows), offsets
+
+
+def check_batch(unodes, num_nodes: int) -> np.ndarray:
+    """*unodes* as a 1-D ``int64`` id array, checked against the batch
+    contract (see :class:`GraphStore`)."""
+    us = np.asarray(unodes, dtype=np.int64)
+    if us.ndim != 1:
+        raise QueryError("node batch must be 1-D")
+    if us.size and (int(us.min()) < 0 or int(us.max()) >= num_nodes):
+        raise QueryError(f"node ids must lie in [0, {num_nodes})")
+    return us
+
+
+def dedup_batch(store, unodes, decode_distinct) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk row fetch that decodes each distinct id once — ``(flat, offsets)``.
+
+    Checks the batch, hands its sorted distinct ids ``uniq`` to
+    ``decode_distinct(uniq)``, and expands the decoded rows back into
+    caller order with one fused indexed copy.  ``decode_distinct``
+    yields ``(pos, flat, offsets)`` groups: id ``uniq[pos][i]`` has the
+    row ``flat[offsets[i]:offsets[i + 1]]``, where *pos* is an index
+    array or slice into ``uniq``.  Ids in no group have empty rows.
+    Every group's ``flat`` must already have the store's row dtype.
+    """
+    us = check_batch(unodes, store.num_nodes)
+    if us.size == 0:
+        return np.zeros(0, dtype=row_dtype(store)), np.zeros(1, dtype=np.int64)
+    uniq, inv = np.unique(us, return_inverse=True)
+    starts = np.zeros(uniq.shape[0], dtype=np.int64)
+    counts = np.zeros(uniq.shape[0], dtype=np.int64)
+    parts = []
+    base = 0
+    for pos, flat, offs in decode_distinct(uniq):
+        starts[pos] = base + offs[:-1]
+        counts[pos] = np.diff(offs)
+        parts.append(flat)
+        base += flat.shape[0]
+    if len(parts) == 1:
+        src = parts[0]
+    else:
+        src = np.concatenate(parts) if parts else np.zeros(0, row_dtype(store))
+
+    # element j of output row i reads src[starts[inv[i]] + j]
+    counts_q = counts[inv]
+    offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts_q, out=offsets[1:])
+    index = np.repeat(starts[inv] - offsets[:-1], counts_q)
+    index += np.arange(int(offsets[-1]), dtype=np.int64)
+    return src[index], offsets
 
 
 def row_decode_cost(

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import QueryError, ValidationError
 from ..query.capabilities import capabilities
+from ..query.stores import dedup_batch
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes
 from .orderings import compute_ordering
@@ -38,7 +39,16 @@ class ReorderedStore:
         Display name of the ordering that produced *perm*.
     """
 
-    __slots__ = ("inner", "perm", "inv", "ordering", "num_nodes")
+    __slots__ = (
+        "inner",
+        "perm",
+        "inv",
+        "ordering",
+        "num_nodes",
+        "take_page_touches",
+        "gap_encoded",
+        "offset_width",
+    )
 
     def __init__(self, inner, perm, *, ordering: str = "custom"):
         p = np.asarray(perm, dtype=np.int64)
@@ -55,6 +65,12 @@ class ReorderedStore:
         self.inv[p] = np.arange(n, dtype=np.int64)
         self.ordering = str(ordering)
         self.num_nodes = n
+        # the page-touch surface and the packed metadata some tools
+        # read exist exactly when the inner store provides them
+        for name in ("take_page_touches", "gap_encoded", "offset_width"):
+            value = getattr(inner, name, None)
+            if value is not None:
+                setattr(self, name, value)
 
     # -- protocol surface -----------------------------------------------
     @property
@@ -107,24 +123,21 @@ class ReorderedStore:
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
         """Bulk row fetch in original ids — ``(flat, offsets)``.
 
-        Deduplicates the batch first — skewed serving workloads repeat
-        the same hub rows thousands of times, and decoding (plus
-        re-sorting) each distinct row once turns the translation cost
-        from O(output) into O(distinct rows) + one expansion gather.
-        Each distinct row runs through the inner store's vectorised
-        batch kernel, maps back through the inverse permutation, and is
-        re-sorted (the relabeled rows are sorted by *new* id, a
-        permutation of the original order) with one fused-key argsort
-        across all distinct rows.
+        Deduplicates the batch first (see
+        :func:`~repro.query.stores.dedup_batch`) — skewed serving
+        workloads repeat the same hub rows thousands of times, and
+        decoding (plus re-sorting) each distinct row once turns the
+        translation cost from O(output) into O(distinct rows) + one
+        expansion gather.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return np.zeros(0, dtype=self.row_dtype), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-        uniq, inverse = np.unique(us, return_inverse=True)
+        return dedup_batch(self, unodes, self._decode_distinct)
+
+    def _decode_distinct(self, uniq: np.ndarray):
+        """The distinct rows as one group: each runs through the inner
+        store's vectorised batch kernel, maps back through the inverse
+        permutation, and is re-sorted (the relabeled rows are sorted by
+        *new* id, a permutation of the original order) with one
+        fused-key argsort across all rows."""
         flat_u, offs_u = _store_batch(self.inner, self.perm[uniq])
         mapped = self.inv[np.asarray(flat_u, dtype=np.int64)]
         counts_u = np.diff(offs_u)
@@ -134,30 +147,7 @@ class ReorderedStore:
             order = np.argsort(row_ids * self.num_nodes + mapped)
         else:
             order = np.lexsort((mapped, row_ids))
-        sorted_u = mapped[order]
-        counts = counts_u[inverse]
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return np.zeros(0, dtype=self.row_dtype), offsets
-        # position i of query q reads position (start of q's row) + i
-        idx = np.arange(total, dtype=np.int64)
-        idx -= np.repeat(offsets[:-1], counts)
-        idx += np.repeat(offs_u[:-1][inverse], counts)
-        return sorted_u[idx].astype(self.row_dtype, copy=False), offsets
-
-    def __getattr__(self, name: str):
-        # Conditional forwards: the page-touch surface (and the packed
-        # metadata some tools introspect) exist exactly when the inner
-        # store provides them, keeping capability probes accurate.
-        if name in ("take_page_touches", "gap_encoded", "offset_width"):
-            inner = object.__getattribute__(self, "inner")
-            missing = object()
-            value = getattr(inner, name, missing)
-            if value is not missing:
-                return value
-        raise AttributeError(name)
+        yield slice(None), mapped[order].astype(self.row_dtype, copy=False), offs_u
 
     # -- accounting ------------------------------------------------------
     def bits_per_edge(self) -> float:

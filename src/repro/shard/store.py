@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import QueryError, ValidationError
 from ..query.capabilities import capabilities
+from ..query.stores import dedup_batch
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes, require
 from .partition import Partitioner, partitioner_from_state
@@ -44,7 +45,14 @@ class ShardedStore:
         kind, so decoded rows share a single dtype.
     """
 
-    __slots__ = ("partitioner", "shards", "num_nodes", "_num_edges", "_scatters")
+    __slots__ = (
+        "partitioner",
+        "shards",
+        "num_nodes",
+        "take_page_touches",
+        "_num_edges",
+        "_scatters",
+    )
 
     def __init__(self, partitioner: Partitioner, shards):
         shards = list(shards)
@@ -71,6 +79,9 @@ class ShardedStore:
         self.num_nodes = n
         self._num_edges = int(sum(int(s.num_edges) for s in shards))
         self._scatters = np.zeros(len(shards), dtype=np.int64)
+        if all(capabilities(s).counts_page_touches for s in shards):
+            # page metering is on offer exactly when every shard meters
+            self.take_page_touches = self._take_shard_pages
 
     # -- protocol surface -----------------------------------------------
     @property
@@ -134,65 +145,28 @@ class ShardedStore:
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
         """Bulk row fetch via scatter-gather — ``(flat, offsets)``.
 
-        Scatters the query keys to their owning shards, runs each
-        shard's own vectorised batch kernel over that shard's
-        *distinct* keys, then gathers the rows back into the caller's
-        original order.  Values and dtype are identical to per-row
-        :meth:`neighbors` calls (and therefore to the monolithic
-        store's batch path).
+        Scatters the batch's *distinct* keys to their owning shards,
+        runs each shard's own vectorised batch kernel, then gathers the
+        rows back into the caller's original order (see
+        :func:`~repro.query.stores.dedup_batch`), so a hot row repeated
+        across the batch is decoded exactly once.  Values and dtype are
+        identical to per-row :meth:`neighbors` calls (and therefore to
+        the monolithic store's batch path).
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        dtype = self.row_dtype
-        if us.size == 0:
-            return np.zeros(0, dtype=dtype), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
+        return dedup_batch(self, unodes, self._decode_distinct)
 
-        # Scatter: each shard decodes only its *distinct* keys, so a
-        # hot row repeated across the batch is decoded exactly once.
-        sid = self.partitioner.shard_of_array(us)
-        counts = np.empty(us.shape[0], dtype=np.int64)
-        starts = np.empty(us.shape[0], dtype=np.int64)  # row start in src_flat
-        chunks = []
-        base = 0
+    def _decode_distinct(self, uniq: np.ndarray):
+        """One group per shard owning some of the sorted distinct ids."""
+        sid = self.partitioner.shard_of_array(uniq)
         for s in np.unique(sid):
             pos = np.flatnonzero(sid == s)
-            uniq, inv = np.unique(us[pos], return_inverse=True)
-            flat_s, offs_s = _store_batch(self.shards[int(s)], uniq)
-            counts[pos] = np.diff(offs_s)[inv]
-            starts[pos] = base + offs_s[:-1][inv]
-            chunks.append(flat_s)
-            base += flat_s.shape[0]
+            flat_s, offs_s = _store_batch(self.shards[int(s)], uniq[pos])
             self._scatters[int(s)] += 1
-        src_flat = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            yield pos, flat_s, offs_s
 
-        # Gather: one fused indexed copy expands the deduplicated rows
-        # back into caller order — element j of the output row starting
-        # at offsets[i] reads src_flat[starts[i] + j].
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        index = np.repeat(starts - offsets[:-1], counts)
-        index += np.arange(int(offsets[-1]), dtype=np.int64)
-        return src_flat[index], offsets
-
-    def __getattr__(self, name: str):
-        # Conditional page-touch surface: present exactly when every
-        # shard meters mapped pages (e.g. DiskStore shards), so the
-        # capability probe stays accurate for in-memory shards.
-        if name == "take_page_touches":
-            try:
-                shards = object.__getattribute__(self, "shards")
-            except AttributeError:
-                raise AttributeError(name) from None
-            if all(callable(getattr(s, "take_page_touches", None)) for s in shards):
-                def take_page_touches() -> int:
-                    """Drain every shard's distinct-page counter (summed)."""
-                    return sum(int(s.take_page_touches()) for s in shards)
-
-                return take_page_touches
-        raise AttributeError(name)
+    def _take_shard_pages(self) -> int:
+        """Drain every shard's distinct-page counter (summed)."""
+        return sum(int(s.take_page_touches()) for s in self.shards)
 
     # -- observability and accounting -----------------------------------
     def scatter_counts(self) -> np.ndarray:

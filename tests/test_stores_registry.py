@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import available_stores, open_store, register_store
-from repro.errors import ValidationError
+from repro.errors import QueryError, ValidationError
 from repro.query import capabilities
 from repro.query.stores import GraphStore, neighbors_batch
 from repro.stores import get_store_spec
@@ -141,16 +141,24 @@ class TestProtocolConformance:
         assert row.dtype == caps.row_dtype
         assert store.degree(int(us[0])) == row.shape[0]
 
-        # batch surface invariants (native or fallback)
-        flat, offs = neighbors_batch(store, us, caps)
-        assert flat.dtype == caps.row_dtype
-        assert offs.dtype == np.int64
-        assert offs.shape == (len(us) + 1,)
-        assert int(offs[0]) == 0
-        assert np.all(np.diff(offs) >= 0)
-        assert int(offs[-1]) == flat.shape[0]
-        for i, u in enumerate(us.tolist()):
-            assert np.array_equal(flat[offs[i]: offs[i + 1]], store.neighbors(u))
+        # batch surface invariants (native or fallback): a random batch,
+        # an empty one, and one of repeated, descending ids
+        descending = np.concatenate([np.sort(us)[::-1], us[:7], us[:7]])
+        for batch in (us, us[:0], descending):
+            flat, offs = neighbors_batch(store, batch, caps)
+            assert flat.dtype == caps.row_dtype
+            assert offs.dtype == np.int64
+            assert offs.shape == (len(batch) + 1,)
+            assert int(offs[0]) == 0
+            assert np.all(np.diff(offs) >= 0)
+            assert int(offs[-1]) == flat.shape[0]
+            for i, u in enumerate(batch.tolist()):
+                assert np.array_equal(flat[offs[i]: offs[i + 1]], store.neighbors(u))
+
+        # a 2-D, negative or out-of-range batch is a one-line QueryError
+        for bad in (us.reshape(5, 10), np.array([0, -1]), np.array([n])):
+            with pytest.raises(QueryError):
+                neighbors_batch(store, bad, caps)
 
     def test_registry_and_parametrisation_in_sync(self, built):
         assert sorted(built) == sorted(
