@@ -2,10 +2,12 @@
 
 The cluster layer composes the repo's existing pieces into one
 servable system: the shard layer partitions the graph, each
-:class:`ShardWorker` runs a full
-:class:`~repro.serve.server.GraphQueryServer` over one shard replica
-(replicas of a shard share the same store object, the way replica
-processes memory-map one segment file), and the :class:`Router`
+:class:`ShardWorker` runs its sub-batches straight through the kernel
+step of a :class:`~repro.serve.server.GraphQueryServer` over one shard
+replica (replicas of a shard share the same store object, the way
+replica processes memory-map one segment file), and the
+:class:`Router` — the same request lifecycle as the monolithic server,
+inherited from :class:`~repro.serve.server.FrontDoor` —
 scatter-gathers every coalesced micro-batch across shards — balancing
 load over replicas, hedging stragglers past a latency-percentile
 deadline, retrying around injected worker failures, and enforcing

@@ -111,8 +111,8 @@ def build_cluster(config: ServerConfig, *, clock: ManualClock | None = None
         )
     stores, part, _n = _shard_stores(config)
     replicas = config.replicas
-    # one tracer shared by the router and every worker's inner server,
-    # so scatter spans and worker-side kernel spans form one tree
+    # one tracer shared by the router and every worker's server, so
+    # scatter spans and worker-side kernel spans form one tree
     tracer = (
         Tracer(config.obs, clock=clock)
         if config.obs is not None and config.obs.enabled
@@ -129,22 +129,7 @@ def build_cluster(config: ServerConfig, *, clock: ManualClock | None = None
     workers = []
     for w in range(config.workers):
         shard = w // replicas
-        server = GraphQueryServer(
-            stores[shard],
-            machines[w],
-            config=config.with_overrides(
-                # workers see whole sub-batches: no inner admission
-                # pressure, no window closure before the drain
-                store=None, store_path=None, store_kind=None, edges=None,
-                workers=1, replicas=1, tenant_quotas={},
-                hedge_percentile=None, cluster=False,
-                max_wait_ns=float("inf"),
-                queue_capacity=max(config.queue_capacity,
-                                   config.max_batch_size + 1),
-                obs=None,
-            ),
-            clock=clock,
-            tracer=tracer,
-        )
+        server = GraphQueryServer(stores[shard], machines[w], config=config,
+                                  clock=clock, tracer=tracer)
         workers.append(ShardWorker(w, shard, server, machine=machines[w]))
     return Router(workers, part, config, clock=clock, tracer=tracer)

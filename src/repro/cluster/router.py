@@ -1,9 +1,11 @@
 """The scatter-gather `Router`: one serving front door over N workers.
 
-The router presents the exact :class:`~repro.serve.server.GraphQueryServer`
-surface — ``submit`` / ``pump`` / ``drain`` / ``next_wakeup_ns`` /
-``snapshot`` — so workloads, the replay driver, and the load harness
-run unchanged against either.  Behind that surface each closed
+The router inherits the request lifecycle of
+:class:`~repro.serve.server.FrontDoor`, the base of
+:class:`~repro.serve.server.GraphQueryServer` — ``submit`` / ``pump`` /
+``drain`` / ``next_wakeup_ns`` / ``snapshot`` and analytics jobs — so
+workloads, the replay driver, and the load harness run unchanged
+against either.  Behind that surface each closed
 micro-batch is **scattered**: its deduplicated key plan is split by
 the partitioner into per-shard sub-batches, each sub-batch is
 dispatched to the least-loaded alive replica of its shard, and
@@ -42,24 +44,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ClusterError, ValidationError
-from ..obs import NULL_TRACER, MetricsRegistry, register_server
 from ..query.rowcache import RowCache
-from ..serve.admission import AdmissionController
-from ..serve.coalescer import MicroBatch, MicroBatchCoalescer
+from ..serve.coalescer import MicroBatch
 from ..serve.config import ServerConfig
-from ..serve.metrics import ServeMetrics, ServeSnapshot
 from ..serve.request import (
     DONE,
     REJECTED,
-    SHED,
-    AnalyticsRequest,
-    JobHandle,
     ManualClock,
-    ReadRequest,
     ReplySlot,
     Request,
     WriteRequest,
 )
+from ..serve.server import FrontDoor
 from .worker import ShardWorker
 
 __all__ = ["Router", "ClusterStats", "WorkerStats"]
@@ -105,43 +101,34 @@ class ClusterStats:
     quota_rejected: int = 0
 
 
-class _Sub:
-    """One shard's slice of a scattered batch (router-internal)."""
-
-    __slots__ = (
-        "sub_id", "shard", "nodes", "edges", "node_items", "edge_items",
-        "batch", "attempts", "done", "inflight", "dispatched_to",
-    )
-
-    def __init__(self, sub_id, shard, nodes, edges, node_items, edge_items,
-                 batch):
-        self.sub_id = sub_id
-        self.shard = shard
-        self.nodes = nodes          # unique node keys owned by this shard
-        self.edges = edges          # unique (u, v) rows owned by this shard
-        self.node_items = node_items  # [(request, ...)] per unique node
-        self.edge_items = edge_items  # [(request, ...)] per unique edge
-        self.batch = batch
-        self.attempts = 0
-        self.done = False
-        self.inflight = 0           # outstanding attempts (primary + hedge)
-        self.dispatched_to: list[int] = []
-
-
+@dataclass(slots=True, eq=False)
 class _Gather:
     """Per-batch gather state: how many subs are still out."""
 
-    __slots__ = ("batch", "remaining", "scatter_ns", "service_ns", "span")
-
-    def __init__(self, batch, remaining, scatter_ns):
-        self.batch = batch
-        self.remaining = remaining
-        self.scatter_ns = scatter_ns
-        self.service_ns = 0.0
-        self.span = None            # open dispatch span id (traced batches)
+    batch: MicroBatch
+    remaining: int
+    scatter_ns: float
+    service_ns: float = 0.0
+    span: int | None = None         # open dispatch span id (traced batches)
 
 
-class Router:
+@dataclass(slots=True, eq=False)
+class _Sub:
+    """One shard's slice of a scattered batch (router-internal)."""
+
+    shard: int
+    nodes: np.ndarray               # unique node keys owned by this shard
+    edges: np.ndarray               # unique (u, v) rows owned by this shard
+    node_items: list                # [request, ...] per unique node
+    edge_items: list                # [request, ...] per unique edge
+    gather: _Gather                 # the batch's shared gather state
+    attempts: int = 0
+    done: bool = False
+    inflight: int = 0               # outstanding attempts (primary + hedge)
+    dispatched_to: list[int] = field(default_factory=list)
+
+
+class Router(FrontDoor):
     """Scatter-gather front-end over replicated shard workers.
 
     Built by :func:`~repro.cluster.build.build_cluster` (via
@@ -151,10 +138,18 @@ class Router:
     keys to shards, and *clock* is the shared
     :class:`~repro.serve.request.ManualClock` all virtual time runs
     on.  *tracer* is the cluster's shared :class:`~repro.obs.Tracer`
-    (also held by every worker's inner server, so router-side scatter
-    spans and worker-side kernel spans land in one tree); defaults to
-    the no-op :data:`~repro.obs.NULL_TRACER`.
+    (also held by every worker's server, so router-side scatter spans
+    and worker-side kernel spans land in one tree); defaults to what
+    ``config.obs`` asks for.
+
+    The request lifecycle is the one :class:`FrontDoor` gives the
+    monolithic server; the router adds tenant quotas, the scatter,
+    the hedge/retry/fail event loop, the gather and
+    :meth:`cluster_stats`.
     """
+
+    _layer = "router"
+    _prefix = "router"
 
     def __init__(
         self,
@@ -169,8 +164,6 @@ class Router:
             raise ValidationError("a cluster needs at least one worker")
         self.workers = list(workers)
         self.partitioner = partitioner
-        self.config = config
-        self._clock = clock
         self.num_shards = int(partitioner.num_shards)
         self.by_shard: dict[int, list[ShardWorker]] = {
             s: [w for w in self.workers if w.shard_id == s]
@@ -179,23 +172,12 @@ class Router:
         for s, group in self.by_shard.items():
             if not group:
                 raise ValidationError(f"shard {s} has no replica workers")
-        self.coalescer = MicroBatchCoalescer(
-            config.max_batch_size, config.max_wait_ns, clock=clock
-        )
-        self.admission = AdmissionController(config.queue_capacity,
-                                             config.policy)
-        self.metrics = ServeMetrics()
         self.tenant_quotas = dict(config.tenant_quotas)
         self._tenant_inflight: dict[str, int] = {}
         self._tenant_completed: dict[str, int] = {}
-        self._slots: dict[int, ReplySlot] = {}
-        self._jobs: deque[JobHandle] = deque()
         self._job_view = None
-        self._next_ticket = 0
         self._events: list = []     # (time_ns, seq, kind, payload)
         self._seq = 0
-        self._next_sub = 0
-        self._gathers: dict[int, _Gather] = {}
         self._samples: deque[float] = deque(maxlen=256)
         # counters surfaced via cluster_stats()
         self.subs_dispatched = 0
@@ -207,126 +189,55 @@ class Router:
         self._per_shard_subs: dict[int, int] = {
             s: 0 for s in range(self.num_shards)
         }
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        # plain-bool mirror of tracer.enabled (see GraphQueryServer)
-        self._obs = self.tracer.enabled
-        self._traced: dict[int, int] = {}
-        self._traced_jobs: dict[int, int] = {}
-        self.registry = MetricsRegistry()
-        register_server(self.registry, self, prefix="router")
+        super().__init__(config, clock=clock, tracer=tracer)
 
-    # -- the request lifecycle (GraphQueryServer surface) ----------------
-    def submit(self, request: Request) -> ReplySlot:
-        """Admit one read request; returns its reply handle immediately.
-
-        Tenant quota, then queue admission, then coalescing — exactly
-        the monolithic order, with fan-out deferred to batch closure.
-        Cluster serving is read-only: a :class:`WriteRequest` raises.
-        """
-        if isinstance(request, AnalyticsRequest):
-            raise ValidationError(
-                "analytics requests are long-running jobs — submit them "
-                "through submit_job(), not submit()"
-            )
+    # -- admission: tenant quotas in front of the shared queue -----------
+    def _unsupported(self, request: Request) -> str:
         if isinstance(request, WriteRequest):
-            raise ValidationError(
-                "cluster serving is read-only (route writes to a "
-                "single-worker server over an lsm store)"
-            )
-        if not isinstance(request, ReadRequest) or type(request) is ReadRequest:
-            raise ValidationError(
-                f"unsupported request type {type(request).__name__}"
-            )
-        if request.ticket >= 0:
-            raise ValidationError("request was already submitted")
-        tracer = self.tracer
-        now = self._clock()
-        request.ticket = self._next_ticket
-        self._next_ticket += 1
-        request.enqueue_ns = now
-        slot = ReplySlot(request)
-        if self._obs and tracer.sample_root():
-            self._traced[request.ticket] = tracer.begin(
-                "request", "router", ticket=request.ticket, start_ns=now,
-                meta={"kind": type(request).__name__,
-                      "tenant": request.tenant},
-            )
-        quota = self.tenant_quotas.get(request.tenant)
-        if quota is not None and self._tenant_inflight.get(
-            request.tenant, 0
-        ) >= quota:
+            return ("cluster serving is read-only (route writes to a "
+                    "single-worker server over an lsm store)")
+        return super()._unsupported(request)
+
+    def _root_meta(self, request: Request) -> dict:
+        return {"kind": type(request).__name__, "tenant": request.tenant}
+
+    def _admit(self, request: Request, slot: ReplySlot,
+               now: float) -> ReplySlot:
+        """Tenant quota, then the shared queue admission — exactly the
+        monolithic order, with fan-out deferred to batch closure."""
+        tenant = request.tenant
+        inflight = self._tenant_inflight
+        quota = self.tenant_quotas.get(tenant)
+        if quota is not None and inflight.get(tenant, 0) >= quota:
             self.quota_rejected += 1
             slot._resolve(REJECTED)
             self._end_root(request.ticket, now, status="quota-rejected")
             return slot
-        decision = self.admission.decide(self.coalescer.pending)
-        if decision == "reject":
-            slot._resolve(REJECTED)
-            self._end_root(request.ticket, now, status="rejected")
-            return slot
-        if decision == "shed":
-            victim = self.coalescer.evict_oldest()
-            vslot = self._slots.pop(victim.ticket)
-            self._tenant_done(victim.tenant)
-            vslot._resolve(SHED)
-            self._end_root(victim.ticket, now, status="shed")
-        elif decision == "block":
-            batch = self.coalescer.close_batch(now, "flush")
-            if batch is not None:
-                self._scatter(batch)
-        self._slots[request.ticket] = slot
-        self._tenant_inflight[request.tenant] = (
-            self._tenant_inflight.get(request.tenant, 0) + 1
-        )
-        self.coalescer.offer(request)
-        self.admission.record_admitted(self.coalescer.pending)
-        self.metrics.record_depth(self.coalescer.pending)
-        self.pump(now)
+        # charge the quota before the offer, whose pump may already
+        # finish the request; a queue rejection gives it back
+        inflight[tenant] = inflight.get(tenant, 0) + 1
+        super()._admit(request, slot, now)
+        if slot.status == REJECTED:
+            self._release(tenant)
         return slot
 
+    def _on_shed(self, victim: Request) -> None:
+        self._release(victim.tenant)
+
+    def _release(self, tenant: str) -> None:
+        """Give back one in-flight quota unit (any terminal state)."""
+        left = self._tenant_inflight.get(tenant, 0) - 1
+        if left > 0:
+            self._tenant_inflight[tenant] = left
+        else:
+            self._tenant_inflight.pop(tenant, None)
+
     # -- analytics jobs --------------------------------------------------
-    def submit_job(self, request: AnalyticsRequest) -> JobHandle:
-        """Admit one analytics job against the whole routed graph.
-
-        The job's stepper runs over a read-only
-        :class:`~repro.shard.ShardedStore` view assembled from one
-        replica of every shard (the union of the shards *is* the
-        graph), so results are identical to the same job on a
-        monolithic server.  Jobs are granted
-        ``config.job_slice_steps`` work slices per :meth:`pump`, FIFO,
-        interleaved with scattered point traffic.
-        """
-        from ..algorithms import make_stepper
-
-        if not isinstance(request, AnalyticsRequest):
-            raise ValidationError(
-                f"submit_job takes an AnalyticsRequest, got "
-                f"{type(request).__name__}"
-            )
-        if request.ticket >= 0:
-            raise ValidationError("request was already submitted")
-        stepper = make_stepper(
-            request.algorithm, self._whole_graph_view(),
-            self.config.executor, **dict(request.params),
-        )
-        now = self._clock()
-        request.ticket = self._next_ticket
-        self._next_ticket += 1
-        request.enqueue_ns = now
-        request.dispatch_ns = now
-        tracer = self.tracer
-        if self._obs and tracer.sample_root():
-            self._traced_jobs[request.ticket] = tracer.begin(
-                "job", "algorithms", ticket=request.ticket, start_ns=now,
-                meta={"algorithm": request.algorithm},
-            )
-        self._jobs.append(JobHandle(request, stepper))
-        return self._jobs[-1]
-
-    def _whole_graph_view(self):
-        """A :class:`~repro.shard.ShardedStore` over replica 0 of every
-        shard — the router's read-only whole-graph surface (built once,
-        reused by every job)."""
+    def _job_graph(self):
+        """Jobs run over a read-only :class:`~repro.shard.ShardedStore`
+        view of replica 0 of every shard (the union of the shards *is*
+        the graph, so results equal the monolithic run), built once
+        and reused by every job."""
         if self._job_view is None:
             from ..shard import ShardedStore
 
@@ -337,43 +248,9 @@ class Router:
                     store = store.store
                 shards.append(store)
             self._job_view = ShardedStore(self.partitioner, shards)
-        return self._job_view
+        return self._job_view, self.config.executor
 
-    @property
-    def active_jobs(self) -> int:
-        """Analytics jobs queued or running (FIFO; the front one gets
-        the pump slices)."""
-        return len(self._jobs)
-
-    def _pump_jobs(self) -> int:
-        """Grant the front job one slice allowance; returns jobs that
-        reached a terminal state (0 or 1)."""
-        if not self._jobs:
-            return 0
-        handle = self._jobs[0]
-        if self._advance_job(handle):
-            self._jobs.popleft()
-            self._finish_job(handle)
-            return 1
-        return 0
-
-    def _advance_job(self, handle: JobHandle) -> bool:
-        """Grant one slice allowance inside a ``job-slice`` span (when
-        the job is traced); returns whether the job finished."""
-        jsid = self._traced_jobs.get(handle.request.ticket)
-        if jsid is None:
-            return handle._advance(self.config.job_slice_steps)
-        with self.tracer.span("job-slice", "algorithms",
-                              ticket=handle.request.ticket, parent=jsid):
-            return handle._advance(self.config.job_slice_steps)
-
-    def _finish_job(self, handle: JobHandle) -> None:
-        """Stamp completion and close the job's root span (if traced)."""
-        handle.request.complete_ns = float(self._clock())
-        jsid = self._traced_jobs.pop(handle.request.ticket, None)
-        if jsid is not None:
-            self.tracer.end(jsid, handle.request.complete_ns)
-
+    # -- the event loop drives pump / drain ------------------------------
     def pump(self, now: float | None = None) -> int:
         """Run the event loop up to *now*, scatter every batch the
         coalescer considers closed, then grant the front analytics job
@@ -383,47 +260,34 @@ class Router:
         self._run_events(now)
         served = 0
         while (batch := self.coalescer.poll(now)) is not None:
-            self._scatter(batch)
+            self._dispatch(batch)
             served += 1
             self._run_events(now)
         self._pump_jobs()
         return served
 
-    def drain(self) -> int:
-        """Flush the queue, then run the event loop to quiescence,
-        advancing the virtual clock through every outstanding
-        completion, then run every analytics job to completion;
-        afterwards every admitted slot and every job handle is
-        terminal."""
+    def _settle(self) -> int:
+        """Run the event loop to quiescence, advancing the virtual
+        clock through every outstanding completion."""
         served = 0
-        for batch in self.coalescer.flush(self._clock()):
-            self._scatter(batch)
-            served += 1
         while self._events:
             t = self._events[0][0]
             self._clock.advance_to(t)
             served += self.pump(t)
-        while self._jobs:
-            handle = self._jobs[0]
-            while not self._advance_job(handle):
-                pass
-            self._jobs.popleft()
-            self._finish_job(handle)
         return served
 
     def next_wakeup_ns(self) -> float | None:
         """Earliest virtual time with work: the oldest queued request's
         window expiry or the next in-flight completion/hedge event."""
-        candidates = []
-        close = self.coalescer.next_close_ns
-        if close is not None:
-            candidates.append(close)
-        if self._events:
-            candidates.append(self._events[0][0])
-        return min(candidates) if candidates else None
+        close = super().next_wakeup_ns()
+        if not self._events:
+            return close
+        event = self._events[0][0]
+        return event if close is None else min(close, event)
 
     # -- scatter ---------------------------------------------------------
-    def _scatter(self, batch: MicroBatch) -> None:
+    def _dispatch(self, batch: MicroBatch) -> None:
+        """Scatter one closed batch into per-shard sub-batches."""
         plan = batch.plan
         t = float(batch.closed_ns)
         shard_nodes: dict[int, dict[int, int]] = {}
@@ -450,7 +314,6 @@ class Router:
             edge_tickets.setdefault(lane, []).append(req)
         shards = sorted(set(shard_nodes) | set(shard_edges))
         gather = _Gather(batch, len(shards), t)
-        self._gathers[id(batch)] = gather
         tracer = self.tracer
         if self._obs:
             parent = None
@@ -476,13 +339,11 @@ class Router:
         if not shards:  # pragma: no cover - empty batches never close
             if gather.span is not None:
                 tracer.end(gather.span, t)
-            del self._gathers[id(batch)]
             return
         for s in shards:
             nmap = shard_nodes.get(s, {})
             emap = shard_edges.get(s, {})
             sub = _Sub(
-                sub_id=self._next_sub,
                 shard=s,
                 nodes=np.fromiter(nmap.values(), dtype=np.int64,
                                   count=len(nmap)),
@@ -490,9 +351,8 @@ class Router:
                                dtype=np.int64).reshape(-1, 2),
                 node_items=[node_tickets.get(lane, []) for lane in nmap],
                 edge_items=[edge_tickets.get(lane, []) for lane in emap],
-                batch=batch,
+                gather=gather,
             )
-            self._next_sub += 1
             if not self._dispatch_sub(sub, t):
                 # every replica of this shard is already down: fail the
                 # sub's tickets now rather than leaving slots pending
@@ -515,15 +375,15 @@ class Router:
             return False
         worker = min(candidates,
                      key=lambda w: (w.busy_until, w.worker_id))
-        gather = self._gathers.get(id(sub.batch))
+        span = sub.gather.span
         sub_sid = None
-        if gather is not None and gather.span is not None:
+        if span is not None:
             sub_sid = self.tracer.begin(
-                "sub", "router", parent=gather.span, start_ns=t,
+                "sub", "router", parent=span, start_ns=t,
                 meta={"shard": sub.shard, "worker": worker.worker_id,
                       "hedge": hedge, "attempt": sub.attempts + 1},
             )
-        # the worker's inner dispatch/kernel spans nest under the sub
+        # the worker's dispatch/kernel spans nest under the sub
         # span via the stack — no ids threaded through worker.serve
         with self.tracer.under(sub_sid):
             rows, exists, service_ns = worker.serve(
@@ -594,8 +454,8 @@ class Router:
             return
         if self._dispatch_sub(sub, t, hedge=True):
             self.hedges_launched += 1
-            gather = self._gathers.get(id(sub.batch))
-            if gather is not None and gather.span is not None:
+            gather = sub.gather
+            if gather.span is not None:
                 # the wait that triggered the hedge: batch close to the
                 # percentile deadline that just fired
                 self.tracer.record(
@@ -607,26 +467,26 @@ class Router:
     # -- gather -----------------------------------------------------------
     def _gather(self, sub: _Sub, rows, exists, t: float,
                 service_ns: float) -> None:
+        closed_ns = sub.gather.batch.closed_ns
         for row, reqs in zip(rows, sub.node_items):
             for req in reqs:
-                self._complete(req, row, sub.batch.closed_ns, t)
+                self._complete(req, row, closed_ns, t)
         for flag, reqs in zip(exists, sub.edge_items):
             for req in reqs:
-                self._complete(req, bool(flag), sub.batch.closed_ns, t)
+                self._complete(req, bool(flag), closed_ns, t)
         self._finish_sub(sub, service_ns, t)
 
     def _finish_sub(self, sub: _Sub, service_ns: float, t: float) -> None:
         """Account one finished (gathered or failed) sub against its
         batch; the batch's metrics record when the last sub lands,
         with the slowest sub as the batch's service time."""
-        gather = self._gathers[id(sub.batch)]
+        gather = sub.gather
         gather.remaining -= 1
         gather.service_ns = max(gather.service_ns, float(service_ns))
         if gather.remaining == 0:
             if gather.span is not None:
                 self.tracer.end(gather.span, t)
-            del self._gathers[id(sub.batch)]
-            batch = sub.batch
+            batch = gather.batch
             self.metrics.record_batch(
                 len(batch), batch.closed_by, batch.plan.duplicates,
                 gather.service_ns,
@@ -641,17 +501,12 @@ class Router:
             raise ClusterError(f"no reply slot for ticket {req.ticket}")
         slot._resolve(DONE, value)
         self._end_root(req.ticket, complete_ns)
-        self._tenant_done(req.tenant)
+        tenant = req.tenant
+        self._release(tenant)
+        self._tenant_completed[tenant] = (
+            self._tenant_completed.get(tenant, 0) + 1
+        )
         self.metrics.record_reply(req.wait_ns, req.latency_ns)
-
-    def _end_root(self, ticket: int, end_ns: float,
-                  status: str | None = None) -> None:
-        """Close a traced request's root span (no-op for untraced)."""
-        sid = self._traced.pop(ticket, None)
-        if sid is not None:
-            if status is not None:
-                self.tracer.annotate(sid, status=status)
-            self.tracer.end(sid, end_ns)
 
     def _fail_sub(self, sub: _Sub, worker: ShardWorker | None,
                   t: float) -> None:
@@ -671,30 +526,15 @@ class Router:
                 req.complete_ns = float(t)
                 slot._fail(error)
                 self._end_root(req.ticket, float(t), status="failed")
-                self._tenant_done(req.tenant)
+                self._release(req.tenant)
                 self.failed_requests += 1
         self._finish_sub(sub, 0.0, t)
 
-    def _tenant_done(self, tenant: str) -> None:
-        left = self._tenant_inflight.get(tenant, 0) - 1
-        if left > 0:
-            self._tenant_inflight[tenant] = left
-        else:
-            self._tenant_inflight.pop(tenant, None)
-        self._tenant_completed[tenant] = (
-            self._tenant_completed.get(tenant, 0) + 1
-        )
-
     # -- observability ----------------------------------------------------
-    def snapshot(self, *, elapsed_s: float | None = None) -> ServeSnapshot:
-        """Aggregate serve metrics (same shape as the monolithic
-        server's, so the load harness and renders work unchanged)."""
-        return self.metrics.snapshot(self.admission.stats(),
-                                     elapsed_s=elapsed_s)
-
     def cluster_stats(self) -> ClusterStats:
         """Per-worker / per-shard / per-tenant breakdowns plus the
         hedging, retry, and failure counters."""
+        now = self._clock()
         return ClusterStats(
             shards=self.num_shards,
             replicas=len(self.by_shard[0]),
@@ -702,7 +542,7 @@ class Router:
                 WorkerStats(
                     worker_id=w.worker_id,
                     shard_id=w.shard_id,
-                    alive=w.failed_at is None,
+                    alive=w.alive_at(now),
                     subs_served=w.subs_served,
                     requests_served=w.requests_served,
                     busy_ns=w.busy_ns,

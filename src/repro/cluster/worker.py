@@ -1,11 +1,13 @@
 """`ShardWorker` — one worker loop serving one shard replica.
 
 A worker is the cluster's unit of both parallelism and failure: it
-owns a full :class:`~repro.serve.server.GraphQueryServer` over its
-shard's store (so the per-worker serving path — coalescer, dedup,
-batched Algorithm 6/7 kernels, metrics — is exactly the monolithic
-one), plus the scheduling state the router needs to load-balance and
-hedge across replicas of the same shard:
+holds a :class:`~repro.serve.server.GraphQueryServer` over its shard's
+store and runs every scattered sub-batch straight through that
+server's kernel step (:meth:`~repro.serve.server.GraphQueryServer.run_batch`
+— the ``dispatch`` span, the scoped cost observer and the batched
+Algorithm 6/7 kernels monolithic dispatch runs), plus the scheduling
+state the router needs to load-balance and hedge across replicas of
+the same shard:
 
 * ``busy_until`` — virtual time at which the worker's current work
   finishes; the router picks the least-loaded alive replica and
@@ -28,22 +30,21 @@ analogue of replica processes memory-mapping the same read-only
 capacity, not copies of the data.
 
 Tracing needs nothing from the worker itself: when the cluster is
-built with ``obs=``, the inner server shares the cluster's
+built with ``obs=``, the worker's server shares the cluster's
 :class:`~repro.obs.Tracer`, and the router runs :meth:`ShardWorker.serve`
 under its per-attempt ``sub`` span, so the dispatch and kernel spans
 emitted inside :meth:`serve` nest under the scatter tree
-automatically (and the inner server never starts roots of its own —
-root sampling only triggers outside any open span).
+automatically.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..parallel.machine import SimulatedMachine
-from ..serve.request import EdgeRequest, NeighborsRequest
 from ..serve.server import GraphQueryServer
-from ..utils import require
 
 __all__ = ["ShardWorker"]
 
@@ -56,9 +57,8 @@ class ShardWorker:
     worker_id / shard_id:
         Cluster-wide worker index and the shard this replica serves.
     server:
-        The worker's :class:`GraphQueryServer` over the shard store
-        (configured with an unbounded coalescer window — the router
-        delivers whole sub-batches and drains them as one flush).
+        The worker's :class:`GraphQueryServer` over the shard store;
+        :meth:`serve` runs sub-batches through its kernel step.
     machine:
         The worker's simulated processor group when service times are
         simulated (``None`` under ``service="wall"``).
@@ -117,37 +117,32 @@ class ShardWorker:
 
     # -- sub-batch service ----------------------------------------------
     def serve(self, nodes, edges, *, wall: bool = False):
-        """Serve one scattered sub-batch through the inner server.
+        """Serve one scattered sub-batch through the kernel step.
 
         *nodes* is the shard's slice of the batch's unique node keys,
-        *edges* its unique ``(u, v)`` rows.  Every key is submitted to
-        the inner :class:`GraphQueryServer` and drained — the same
-        admission → coalesce → batched-kernel path as monolithic
-        serving, so results are bit-exact by construction.  Returns
-        ``(rows, exists, service_ns)`` where ``service_ns`` is the
-        simulated processor-group time charged for the kernels (or
-        measured wall time with ``wall=True``), stretched by
-        :attr:`slow_factor`.
+        *edges* its unique ``(u, v)`` rows, both in first-occurrence
+        order — already the kernel inputs, so they run as one batch
+        through the server's kernel step and results are bit-exact by
+        construction.  Returns ``(rows, exists, service_ns)`` where
+        ``service_ns`` is the simulated processor-group time charged
+        for the kernels (or measured wall time with ``wall=True``),
+        stretched by :attr:`slow_factor`.
         """
-        require(self.server.coalescer.pending == 0,
-                "worker received a sub-batch while one was in flight")
         t0 = time.perf_counter_ns() if wall or self.machine is None else 0
         m0 = self.machine.elapsed_ns() if self.machine is not None else 0.0
-        node_slots = [
-            self.server.submit(NeighborsRequest(node=int(u))) for u in nodes
-        ]
-        edge_slots = [
-            self.server.submit(EdgeRequest(u=int(u), v=int(v)))
-            for u, v in edges
-        ]
-        self.server.drain()
+        nodes = np.asarray(nodes, dtype=np.int64)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        rows, exists, _ = self.server.run_batch(
+            nodes, edges,
+            meta={"batch_size": len(nodes) + len(edges), "closed_by": "flush"},
+        )
         if wall or self.machine is None:
             service_ns = float(time.perf_counter_ns() - t0)
         else:
             service_ns = float(self.machine.elapsed_ns() - m0)
         service_ns *= float(self.slow_factor)
-        rows = [slot.result() for slot in node_slots]
-        exists = [bool(slot.result()) for slot in edge_slots]
+        rows = list(rows)
+        exists = [bool(flag) for flag in exists]
         self.subs_served += 1
         self.requests_served += len(rows) + len(exists)
         self.busy_ns += service_ns

@@ -11,8 +11,8 @@ mechanisms stitch the tree together across layers:
 
 * an explicit **span stack** (:meth:`Tracer.span` /
   :meth:`Tracer.under`): code that runs work inline pushes the current
-  span, so anything opened deeper — including a shard worker's whole
-  inner serving path — parents correctly without threading ids through
+  span, so anything opened deeper — including a shard worker's
+  kernel step — parents correctly without threading ids through
   every signature;
 * :meth:`Tracer.on_cost`, the :attr:`Executor.cost_observer
   <repro.parallel.machine.Executor>` hook: kernel phases report their
@@ -112,9 +112,8 @@ class Tracer:
         """One-call root decision for the serve hot path.
 
         Equivalent to ``current() is None and should_sample()``: a
-        submit that already runs under an open span (a shard worker
-        inside a router's ``sub`` span) is never a new root and must
-        not consume a sample.  Callers gate on :attr:`enabled` first,
+        submit that already runs under an open span is never a new
+        root and must not consume a sample.  Callers gate on :attr:`enabled` first,
         so this skips the config check entirely.
         """
         if self._stack:
@@ -201,8 +200,8 @@ class Tracer:
         """Parent everything in the block to an already-open span.
 
         The cross-layer propagation device: the router opens a ``sub``
-        span, then runs the shard worker's whole inner serving path
-        ``under`` it, so the worker's dispatch and kernel spans nest
+        span, then runs the shard worker's kernel step ``under`` it,
+        so the worker's dispatch and kernel spans nest
         without the worker knowing about the router.  ``None`` is a
         no-op (traces compose with untraced callers).
         """

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.csr.builder import ensure_sorted
 from repro.errors import ClusterError, ValidationError
+from repro.parallel import SimulatedMachine
 from repro.query import QueryEngine
 from repro.serve import (
     DONE,
@@ -227,6 +228,39 @@ class TestFailureInjection:
         assert "last worker" in str(slot.error)
         assert router.retries >= 1
 
+    def test_worker_alive_until_its_failure_time(self):
+        src, dst, n = _dense_edges()
+        router, clock = _cluster(src, dst, n, workers=2, replicas=2,
+                                 max_batch_size=4, max_wait_ns=0.0)
+        worker = router.workers[0]
+        worker.fail(at_ns=1e9)
+        slot = router.submit(NeighborsRequest(node=1))
+        router.drain()
+        assert slot.status == DONE
+        assert worker.subs_served == 1
+        assert router.cluster_stats().per_worker[0].alive
+        clock.advance_to(1e9)
+        assert not router.cluster_stats().per_worker[0].alive
+        assert router.cluster_stats().per_worker[1].alive
+
+    def test_failed_requests_do_not_count_as_completed(self):
+        src, dst, n = _dense_edges()
+        router, clock = _cluster(src, dst, n, workers=2, replicas=1,
+                                 max_batch_size=8, max_wait_ns=50.0)
+        router.workers[0].fail()
+        slots = []
+        for i in range(100):
+            clock.advance(20.0)
+            slots.append(router.submit(
+                NeighborsRequest(node=i % n, tenant="b")))
+        router.drain()
+        stats = router.cluster_stats()
+        done = [s for s in slots if s.status == DONE]
+        assert 0 < len(done) < len(slots)
+        assert stats.failed_requests == len(slots) - len(done)
+        assert sum(stats.per_tenant.values()) == router.snapshot().completed
+        assert stats.per_tenant == {"b": len(done)}
+
     def test_recovered_worker_rejoins_selection(self):
         src, dst, n = _dense_edges()
         router, clock = _cluster(src, dst, n, workers=2, replicas=2,
@@ -334,6 +368,23 @@ class TestRouterSurface:
         assert stats.quota_rejected == 1
         assert stats.per_tenant == {"free": 1, "paid": 1}
 
+    def test_per_tenant_counts_only_completed_replies_under_shed(self):
+        src, dst, n = _dense_edges()
+        router, _ = _cluster(src, dst, n, workers=2, replicas=1,
+                             max_batch_size=64, max_wait_ns=1e12,
+                             queue_capacity=8, policy="shed-oldest",
+                             tenant_quotas={"a": 9})
+        slots = [router.submit(NeighborsRequest(node=i % n, tenant="a"))
+                 for i in range(200)]
+        router.drain()
+        snap = router.snapshot()
+        assert snap.completed == 8 and snap.shed == 192
+        assert [s.status for s in slots].count(DONE) == 8
+        stats = router.cluster_stats()
+        assert stats.quota_rejected == 0  # shed victims gave quota back
+        assert sum(stats.per_tenant.values()) == snap.completed
+        assert stats.per_tenant == {"a": 8}
+
     def test_next_wakeup_tracks_window_then_events(self):
         src, dst, n = _dense_edges()
         router, clock = _cluster(src, dst, n, workers=2, replicas=1,
@@ -362,3 +413,31 @@ class TestRouterSurface:
         assert len(stats.per_worker) == 4
         assert sum(w.requests_served for w in stats.per_worker) >= 60
         assert sum(stats.per_shard.values()) == stats.subs_dispatched
+
+
+class TestShardWorker:
+    """A worker serves its sub-batch straight through the kernel step."""
+
+    def test_service_time_is_the_kernels_charged_cost(self):
+        src, dst, n = _dense_edges()
+        router, _ = _cluster(src, dst, n, workers=2, replicas=2)
+        worker = router.workers[1]
+        worker.slow_factor = 3.0
+        nodes = np.array([5, 1, 9, 3], dtype=np.int64)
+        edges = np.array([[1, 2], [5, 7], [0, 0]], dtype=np.int64)
+        rows, exists, service_ns = worker.serve(nodes, edges)
+
+        reference = QueryEngine(open_store("packed", src, dst, n))
+        want = reference.neighbors(nodes)
+        assert len(rows) == len(want)
+        for got, row in zip(rows, want):
+            assert got.dtype == row.dtype and np.array_equal(got, row)
+        assert exists == [bool(f) for f in reference.has_edges(edges)]
+
+        group = SimulatedMachine(2).split(2)[0]
+        engine = QueryEngine(worker.server.store, group)
+        engine.neighbors(nodes)
+        engine.has_edges(edges, method=router.config.edge_method)
+        assert service_ns == group.elapsed_ns() * 3.0
+        assert worker.busy_ns == service_ns
+        assert worker.subs_served == 1 and worker.requests_served == 7

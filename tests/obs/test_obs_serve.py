@@ -25,6 +25,7 @@ from repro.serve import (
     NeighborsRequest,
     ServerConfig,
     WriteRequest,
+    open_server,
 )
 from repro.stores import open_store
 
@@ -140,8 +141,16 @@ class TestWriteAndJobSpans:
         assert write.meta["op"] == "insert"
         assert write.meta["applied"] is True
 
-    def test_job_and_slice_spans(self, packed):
-        server = _server(packed, job_slice_steps=2)
+    @pytest.mark.parametrize("front", ["server", "router"])
+    def test_job_and_slice_spans(self, packed, front):
+        if front == "server":
+            server = _server(packed, job_slice_steps=2)
+        else:
+            server = open_server(
+                ServerConfig(store=packed, workers=2, obs=True,
+                             job_slice_steps=2),
+                clock=ManualClock(),
+            )
         server.submit_job(AnalyticsRequest(algorithm="bfs",
                                            params={"source": 0}))
         server.drain()
