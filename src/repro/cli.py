@@ -54,6 +54,7 @@ from .disk import DiskStore
 from .errors import ReproError
 from .lsm import LsmStore
 from .parallel import SerialExecutor, SimulatedMachine
+from .query.stores import extract_edges
 from .reorder import ReorderedStore, available_orderings
 from .shard import PARTITIONER_KINDS, ShardedStore
 from .stores import load_store, open_store
@@ -448,20 +449,15 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load(path):
-    """Open a store file/directory via :func:`repro.stores.load_store`."""
-    return load_store(path)
-
-
 def _reshard(store, args):
     """Re-partition a loaded store in memory when ``--shards N`` asks for it."""
     if args.shards <= 1 or isinstance(store, ShardedStore):
         return store
-    src, dst = store.to_csr().edges()
+    src, dst = extract_edges(store)
     return open_store(
         "sharded", src, dst, store.num_nodes, shards=args.shards,
         partitioner=args.partitioner,
-        inner="gap" if store.gap_encoded else "packed",
+        inner="gap" if getattr(store, "gap_encoded", False) else "packed",
     )
 
 
@@ -499,7 +495,7 @@ def _store_info(store) -> dict:
 
 
 def _cmd_info(args) -> int:
-    packed = _load(args.input)
+    packed = load_store(args.input)
     if args.json:
         print(json.dumps(_store_info(packed), indent=2))
         return 0
@@ -579,22 +575,28 @@ def _cmd_info(args) -> int:
 
 def _cmd_compact(args) -> int:
     _check_compact_flags(args)
-    store = _load(args.input)
+    store = load_store(args.input)
+    if not callable(getattr(store, "bits_per_edge", None)):
+        raise ReproError(
+            f"{args.input}: {type(store).__name__} has no compressed "
+            "encoding to compact (expected a packed, compact, reordered "
+            "or disk store)"
+        )
     before = store.bits_per_edge()
-    graph = store.to_csr()
-    src, dst = graph.edges()
-    n = graph.num_nodes
+    src, dst = extract_edges(store)
+    n = int(store.num_nodes)
     seg_opts = (
         {"segment_bytes": int(args.segment_bytes)} if args.segment_bytes else {}
     )
     if args.format == "disk":
+        from .csr.builder import build_csr_serial
         from .csr.packed import build_bitpacked_csr
         from .disk import DEFAULT_SEGMENT_BYTES, write_disk_store
         from .reorder import compute_ordering
 
         perm = None
         if args.order != "natural":
-            perm = compute_ordering(args.order, graph)
+            perm = compute_ordering(args.order, build_csr_serial(src, dst, n))
             src, dst = perm[src], perm[dst]
         inner = build_bitpacked_csr(src, dst, n, None, sort=True)
         out = write_disk_store(
@@ -626,7 +628,7 @@ def _cmd_query(args) -> int:
     from .analysis.tracing import render_cache_stats
     from .query import RowCache
 
-    store = _reshard(_load(args.input), args)
+    store = _reshard(load_store(args.input), args)
     lsm = store if isinstance(store, LsmStore) else None
     if args.writes > 0 or args.save:
         if lsm is None:
@@ -695,7 +697,7 @@ def _cmd_analyze(args) -> int:
     from .analysis.speedup import SpeedupCurve
     from .analysis.tables import render_table
 
-    store = _reshard(_load(args.input), args)
+    store = _reshard(load_store(args.input), args)
     params = {k: v for k, v in (
         ("source", args.source), ("damping", args.damping),
         ("tol", args.tol), ("max_iter", args.max_iter),
@@ -749,7 +751,7 @@ def _cmd_bench(args) -> int:
 def _serve_store(args):
     """The store a serve bench runs against: loaded, or a seeded R-MAT."""
     if args.input:
-        return _reshard(_load(args.input), args)
+        return _reshard(load_store(args.input), args)
     scale = max(1, int(np.ceil(np.log2(max(2, args.nodes)))))
     src, dst, n = rmat_edges(scale, args.edges, rng=np.random.default_rng(args.seed))
     if args.shards > 1:
@@ -801,9 +803,7 @@ def _cmd_serve_bench_cluster(args) -> int:
             "to bench mixed read/write traffic"
         )
     if args.input:
-        from .cluster import extract_edges
-
-        store = _load(args.input)
+        store = load_store(args.input)
         src, dst = extract_edges(store)
         n = int(store.num_nodes)
     else:
@@ -896,13 +896,7 @@ def _cmd_serve_bench(args) -> int:
     store = _serve_store(args)
     # re-derive planted edges from the store itself so half the edge
     # queries hit regardless of where the graph came from
-    offsets_src = np.repeat(
-        np.arange(store.num_nodes, dtype=np.int64), store.degrees()
-    )
-    dst_all = np.concatenate(
-        [store.neighbors(u) for u in range(store.num_nodes)]
-    ).astype(np.int64) if store.num_edges else np.zeros(0, dtype=np.int64)
-    src_edges = (offsets_src, dst_all)
+    src_edges = extract_edges(store)
 
     def fresh_workload():
         return synthetic_workload(
@@ -992,11 +986,9 @@ def _cmd_trace(args) -> int:
         obs=obs,
     )
     if args.input:
-        store = _load(args.input)
+        store = load_store(args.input)
         n = int(store.num_nodes)
         if cluster:
-            from .cluster import extract_edges
-
             src, dst = extract_edges(store)
             config = ServerConfig(
                 store_kind="packed", edges=(src, dst, n),

@@ -26,7 +26,8 @@ reproducible in CI.  Construction goes through
     ))
 """
 
-from .build import build_cluster, extract_edges
+from ..query.stores import extract_edges
+from .build import build_cluster
 from .router import ClusterStats, Router, WorkerStats
 from .worker import ShardWorker
 

@@ -10,9 +10,9 @@ from one of three sources:
   ``config.shard_inner`` spanning the full global node space;
 * a ready :class:`~repro.shard.ShardedStore` — its sub-stores and
   partitioner are adopted as-is (the shard layout was already chosen);
-* any other ready/loadable store — its edges are extracted row by row
-  and sharded as above (fine at bench scale; pass edges directly to
-  skip the extraction walk).
+* any other ready/loadable store — its edges are extracted with
+  :func:`~repro.query.stores.extract_edges` and sharded as above (pass
+  edges directly to skip the extraction).
 
 All replicas of one shard share the **same store object** — the
 in-process analogue of replica processes memory-mapping one read-only
@@ -29,6 +29,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..obs import Tracer
 from ..parallel.machine import SimulatedMachine
+from ..query.stores import extract_edges
 from ..serve.config import ServerConfig
 from ..serve.request import ManualClock
 from ..serve.server import GraphQueryServer
@@ -38,25 +39,7 @@ from ..shard.store import ShardedStore
 from .router import Router
 from .worker import ShardWorker
 
-__all__ = ["build_cluster", "extract_edges"]
-
-
-def extract_edges(store):
-    """Recover the (u-sorted) edge list of any readable store.
-
-    The row-by-row walk every store supports; used when a cluster is
-    asked to serve a pre-built monolithic store without its edge list.
-    """
-    n = int(store.num_nodes)
-    srcs, dsts = [], []
-    for u in range(n):
-        row = np.asarray(store.neighbors(u), dtype=np.int64)
-        if row.shape[0]:
-            srcs.append(np.full(row.shape[0], u, dtype=np.int64))
-            dsts.append(row)
-    if not srcs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(srcs), np.concatenate(dsts)
+__all__ = ["build_cluster"]
 
 
 def _shard_stores(config: ServerConfig):

@@ -340,17 +340,17 @@ class CompactStore:
         )
 
     def save(self, path) -> None:
-        """Persist to ``.npz`` (tagged ``store_kind="compact"``)."""
-        payload = {"store_kind": "compact", **self.npz_payload()}
-        np.savez_compressed(path, **payload)
+        """Persist to ``.npz`` via :func:`repro.stores.save_store`."""
+        from ..stores import save_store
+
+        save_store(self, path)
 
     @classmethod
     def load(cls, path) -> "CompactStore":
         """Rebuild a compact store saved by :meth:`save`."""
-        with np.load(path) as data:
-            if "store_kind" not in data.files or str(data["store_kind"]) != "compact":
-                raise ValidationError(f"{path} is not a compact store file")
-            return cls.from_npz_payload(data)
+        from ..stores import load_store
+
+        return load_store(path, expect=cls)
 
 
 def build_compact_csr(

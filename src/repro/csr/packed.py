@@ -333,47 +333,59 @@ class BitPackedCSR:
             f"gap={self.gap_encoded}, mem={human_bytes(self.memory_bytes())})"
         )
 
-    # ------------------------------------------------------------------
-    def save(self, path) -> None:
-        """Persist to an ``.npz`` file."""
-        payload = dict(
-            num_nodes=self.num_nodes,
-            num_edges=self.num_edges,
-            offset_width=self.offset_width,
-            column_width=self.column_width,
-            gap_encoded=int(self.gap_encoded),
-            offsets=self.offsets.buffer,
-            offsets_nbits=self.offsets.nbits,
-            columns=self.columns.buffer,
-            columns_nbits=self.columns.nbits,
-        )
+    # -- persistence -----------------------------------------------------
+    def npz_payload(self, prefix: str = "") -> dict:
+        """Flat npz key/value payload: both packed arrays with their bit
+        lengths and widths (plus the packed weights, when present)."""
+        payload: dict = {
+            f"{prefix}num_nodes": self.num_nodes,
+            f"{prefix}num_edges": self.num_edges,
+            f"{prefix}offset_width": self.offset_width,
+            f"{prefix}column_width": self.column_width,
+            f"{prefix}gap_encoded": int(self.gap_encoded),
+            f"{prefix}offsets": self.offsets.buffer,
+            f"{prefix}offsets_nbits": self.offsets.nbits,
+            f"{prefix}columns": self.columns.buffer,
+            f"{prefix}columns_nbits": self.columns.nbits,
+        }
         if self.values is not None:
-            payload.update(
-                values=self.values.buffer,
-                values_nbits=self.values.nbits,
-                values_width=self.values_width,
-            )
-        np.savez_compressed(path, **payload)
+            payload[f"{prefix}values"] = self.values.buffer
+            payload[f"{prefix}values_nbits"] = self.values.nbits
+            payload[f"{prefix}values_width"] = self.values_width
+        return payload
+
+    @classmethod
+    def from_npz_payload(cls, data, prefix: str = "") -> "BitPackedCSR":
+        """Rebuild from the key/value payload of :meth:`npz_payload`."""
+        values = None
+        values_width = 0
+        if f"{prefix}values" in data:
+            values = BitArray(data[f"{prefix}values"], int(data[f"{prefix}values_nbits"]))
+            values_width = int(data[f"{prefix}values_width"])
+        return cls(
+            int(data[f"{prefix}num_nodes"]),
+            int(data[f"{prefix}num_edges"]),
+            BitArray(data[f"{prefix}offsets"], int(data[f"{prefix}offsets_nbits"])),
+            int(data[f"{prefix}offset_width"]),
+            BitArray(data[f"{prefix}columns"], int(data[f"{prefix}columns_nbits"])),
+            int(data[f"{prefix}column_width"]),
+            gap_encoded=bool(int(data[f"{prefix}gap_encoded"])),
+            values=values,
+            values_width=values_width,
+        )
+
+    def save(self, path) -> None:
+        """Persist to ``.npz`` via :func:`repro.stores.save_store`."""
+        from ..stores import save_store
+
+        save_store(self, path)
 
     @classmethod
     def load(cls, path) -> "BitPackedCSR":
-        with np.load(path) as data:
-            values = None
-            values_width = 0
-            if "values" in data.files:
-                values = BitArray(data["values"], int(data["values_nbits"]))
-                values_width = int(data["values_width"])
-            return cls(
-                int(data["num_nodes"]),
-                int(data["num_edges"]),
-                BitArray(data["offsets"], int(data["offsets_nbits"])),
-                int(data["offset_width"]),
-                BitArray(data["columns"], int(data["columns_nbits"])),
-                int(data["column_width"]),
-                gap_encoded=bool(int(data["gap_encoded"])),
-                values=values,
-                values_width=values_width,
-            )
+        """Rebuild a packed store saved by :meth:`save`."""
+        from ..stores import load_store
+
+        return load_store(path, expect=cls)
 
 
 def build_bitpacked_csr(

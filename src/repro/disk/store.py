@@ -433,8 +433,8 @@ class DiskStore:
     def to_csr(self):
         """Full decode into an in-memory :class:`~repro.csr.CSRGraph`.
 
-        Convenience for tooling (CLI re-sharding, tests); this is the
-        one method that *does* materialise the whole graph.
+        Convenience for tooling and tests; this is the one method that
+        *does* materialise the whole graph.
         """
         from ..csr.graph import CSRGraph
 

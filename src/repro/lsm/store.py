@@ -18,14 +18,16 @@ from-scratch build (property-tested in ``tests/lsm``).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import QueryError, ValidationError
 from ..query.capabilities import capabilities
-from ..query.stores import dedup_batch
+from ..query.stores import dedup_batch, extract_edges
 from ..query.stores import neighbors_batch as _store_batch
+from ..stores import _read_payload, _write_payload, load_store, open_store, save_store
 from ..utils import human_bytes, require
 from .memtable import DeltaMemtable
 
@@ -356,13 +358,7 @@ class LsmStore:
     # -- compaction -----------------------------------------------------
     def _logical_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The merged edge set as u-sorted ``(src, dst)`` int64 arrays."""
-        flat, offs = self.neighbors_batch(
-            np.arange(self.num_nodes, dtype=np.int64)
-        )
-        src = np.repeat(
-            np.arange(self.num_nodes, dtype=np.int64), np.diff(offs)
-        )
-        return src, flat.astype(np.int64, copy=False)
+        return extract_edges(self)
 
     def _segment_opts(self) -> dict:
         # a directory-backed inner (``disk``) writes each generation
@@ -385,8 +381,6 @@ class LsmStore:
         readers after see the single new segment, and both views decode
         identical rows.
         """
-        from ..stores import open_store  # deferred: registry imports us
-
         src, dst = self._logical_edges()
         segment = open_store(
             self.inner, src, dst, self.num_nodes,
@@ -409,8 +403,6 @@ class LsmStore:
         still exist).  Reads then merge one more segment until the
         next :meth:`compact` folds everything down to one.
         """
-        from ..stores import open_store
-
         us, vs, alive = self.memtable.entries()
         src, dst = us[alive], vs[alive]
         if src.size == 0:
@@ -481,85 +473,59 @@ class LsmStore:
             f"mem={human_bytes(self.memory_bytes())})"
         )
 
-    # -- persistence (packed segments) ----------------------------------
-    def save(self, path) -> None:
-        """Persist to ``.npz`` (bit-packed segments only).
-
-        Layout mirrors :meth:`~repro.shard.ShardedStore.save`: each
-        segment's payload under a ``segment{i}_`` prefix, plus the
-        memtable as parallel ``mt_u``/``mt_v``/``mt_alive`` arrays, so
-        one file round-trips the live store mid-stream.
-        """
-        from ..csr.packed import BitPackedCSR
-
-        for i, seg in enumerate(self.segments):
-            if not isinstance(seg, BitPackedCSR):
-                raise ValidationError(
-                    f"only packed segments can be saved (segment {i} is "
-                    f"{type(seg).__name__})"
-                )
+    # -- persistence -----------------------------------------------------
+    def npz_payload(self, prefix: str = "") -> dict:
+        """The memtable as parallel ``mt_u``/``mt_v``/``mt_alive``
+        arrays, the watermark, ``inner`` and ``inner_opts`` (as JSON),
+        so one file round-trips the live store mid-stream; each
+        segment's own payload goes through :mod:`repro.stores` under
+        ``segment{i}_``."""
+        try:
+            inner_opts = json.dumps(self.inner_opts, sort_keys=True)
+        except TypeError as exc:
+            raise ValidationError(f"lsm inner_opts cannot be saved ({exc})") from None
         us, vs, alive = self.memtable.entries()
         payload: dict = {
-            "store_kind": "lsm",
-            "num_nodes": self.num_nodes,
-            "num_edges": self._num_edges,
-            "num_segments": len(self.segments),
-            "inner": self.inner,
-            "compact_watermark": self.compact_watermark,
-            "mt_u": us,
-            "mt_v": vs,
-            "mt_alive": alive,
+            f"{prefix}num_nodes": self.num_nodes,
+            f"{prefix}num_edges": self._num_edges,
+            f"{prefix}num_segments": len(self.segments),
+            f"{prefix}inner": self.inner,
+            f"{prefix}inner_opts": inner_opts,
+            f"{prefix}compact_watermark": self.compact_watermark,
+            f"{prefix}mt_u": us,
+            f"{prefix}mt_v": vs,
+            f"{prefix}mt_alive": alive,
         }
         for i, seg in enumerate(self.segments):
-            prefix = f"segment{i}_"
-            payload[f"{prefix}num_nodes"] = seg.num_nodes
-            payload[f"{prefix}num_edges"] = seg.num_edges
-            payload[f"{prefix}offset_width"] = seg.offset_width
-            payload[f"{prefix}column_width"] = seg.column_width
-            payload[f"{prefix}gap_encoded"] = int(seg.gap_encoded)
-            payload[f"{prefix}offsets"] = seg.offsets.buffer
-            payload[f"{prefix}offsets_nbits"] = seg.offsets.nbits
-            payload[f"{prefix}columns"] = seg.columns.buffer
-            payload[f"{prefix}columns_nbits"] = seg.columns.nbits
-        np.savez_compressed(path, **payload)
+            payload.update(_write_payload(seg, f"{prefix}segment{i}_"))
+        return payload
+
+    @classmethod
+    def from_npz_payload(cls, data, prefix: str = "") -> "LsmStore":
+        """Rebuild from the key/value payload of :meth:`npz_payload`
+        (files without ``inner_opts`` load with none)."""
+        segments = [
+            _read_payload(data, f"{prefix}segment{i}_")
+            for i in range(int(data[f"{prefix}num_segments"]))
+        ]
+        opts = f"{prefix}inner_opts"
+        return cls(
+            int(data[f"{prefix}num_nodes"]),
+            segments,
+            inner=str(data[f"{prefix}inner"]),
+            inner_opts=json.loads(str(data[opts])) if opts in data else None,
+            compact_watermark=int(data[f"{prefix}compact_watermark"]),
+            memtable=DeltaMemtable.from_entries(
+                data[f"{prefix}mt_u"], data[f"{prefix}mt_v"], data[f"{prefix}mt_alive"]
+            ),
+            num_edges=int(data[f"{prefix}num_edges"]),
+        )
+
+    def save(self, path) -> None:
+        """Persist to ``.npz`` via :func:`repro.stores.save_store`."""
+        save_store(self, path)
 
     @classmethod
     def load(cls, path) -> "LsmStore":
         """Rebuild a live LSM store saved by :meth:`save`."""
-        from ..bitpack.bitarray import BitArray
-        from ..csr.packed import BitPackedCSR
-
-        with np.load(path) as data:
-            if "store_kind" not in data.files or str(data["store_kind"]) != "lsm":
-                raise ValidationError(f"{path} is not an lsm store file")
-            segments = []
-            for i in range(int(data["num_segments"])):
-                prefix = f"segment{i}_"
-                segments.append(
-                    BitPackedCSR(
-                        int(data[f"{prefix}num_nodes"]),
-                        int(data[f"{prefix}num_edges"]),
-                        BitArray(
-                            data[f"{prefix}offsets"],
-                            int(data[f"{prefix}offsets_nbits"]),
-                        ),
-                        int(data[f"{prefix}offset_width"]),
-                        BitArray(
-                            data[f"{prefix}columns"],
-                            int(data[f"{prefix}columns_nbits"]),
-                        ),
-                        int(data[f"{prefix}column_width"]),
-                        gap_encoded=bool(int(data[f"{prefix}gap_encoded"])),
-                    )
-                )
-            memtable = DeltaMemtable.from_entries(
-                data["mt_u"], data["mt_v"], data["mt_alive"]
-            )
-            return cls(
-                int(data["num_nodes"]),
-                segments,
-                inner=str(data["inner"]),
-                compact_watermark=int(data["compact_watermark"]),
-                memtable=memtable,
-                num_edges=int(data["num_edges"]),
-            )
+        return load_store(path, expect=cls)

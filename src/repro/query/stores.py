@@ -27,6 +27,7 @@ __all__ = [
     "capabilities",
     "check_batch",
     "dedup_batch",
+    "extract_edges",
     "neighbors_batch",
     "row_decode_cost",
     "row_dtype",
@@ -128,6 +129,14 @@ def neighbors_batch(
     if not rows:
         return np.zeros(0, dtype=caps.row_dtype), offsets
     return np.concatenate(rows), offsets
+
+
+def extract_edges(store) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of *store* as u-sorted ``(src, dst)`` ``int64`` arrays:
+    one :func:`neighbors_batch` over all node ids."""
+    ids = np.arange(int(store.num_nodes), dtype=np.int64)
+    flat, offsets = neighbors_batch(store, ids)
+    return np.repeat(ids, np.diff(offsets)), flat.astype(np.int64, copy=False)
 
 
 def check_batch(unodes, num_nodes: int) -> np.ndarray:

@@ -18,6 +18,9 @@ from ..errors import QueryError, ValidationError
 from ..query.capabilities import capabilities
 from ..query.stores import dedup_batch
 from ..query.stores import neighbors_batch as _store_batch
+from ..stores import (
+    _read_payload, _write_payload, inner_store_spec, load_store, open_store, save_store,
+)
 from ..utils import human_bytes
 from .orderings import compute_ordering
 
@@ -180,72 +183,32 @@ class ReorderedStore:
         )
 
     # -- persistence -----------------------------------------------------
-    def save(self, path) -> None:
-        """Persist to ``.npz`` (packed or compact inner stores only).
-
-        Layout: ``store_kind="reordered"``, the ordering name and
-        permutation, plus the inner store's own payload under an
-        ``inner_`` prefix.
-        """
-        from ..csr.compact import CompactStore
-        from ..csr.packed import BitPackedCSR
-
-        payload: dict = {
-            "store_kind": "reordered",
-            "ordering": self.ordering,
-            "perm": self.perm,
+    def npz_payload(self, prefix: str = "") -> dict:
+        """The ordering name and permutation; the inner store's own
+        payload goes through :mod:`repro.stores` under ``inner_``."""
+        return {
+            f"{prefix}ordering": self.ordering,
+            f"{prefix}perm": self.perm,
+            **_write_payload(self.inner, f"{prefix}inner_"),
         }
-        if isinstance(self.inner, BitPackedCSR):
-            payload["inner_kind"] = "packed"
-            if self.inner.values is not None:
-                raise ValidationError("weighted inner stores cannot be saved")
-            payload["inner_num_nodes"] = self.inner.num_nodes
-            payload["inner_num_edges"] = self.inner.num_edges
-            payload["inner_offset_width"] = self.inner.offset_width
-            payload["inner_column_width"] = self.inner.column_width
-            payload["inner_gap_encoded"] = int(self.inner.gap_encoded)
-            payload["inner_offsets"] = self.inner.offsets.buffer
-            payload["inner_offsets_nbits"] = self.inner.offsets.nbits
-            payload["inner_columns"] = self.inner.columns.buffer
-            payload["inner_columns_nbits"] = self.inner.columns.nbits
-        elif isinstance(self.inner, CompactStore):
-            payload["inner_kind"] = "compact"
-            payload.update(self.inner.npz_payload(prefix="inner_"))
-        else:
-            raise ValidationError(
-                f"only packed or compact inner stores can be saved "
-                f"(got {type(self.inner).__name__})"
-            )
-        np.savez_compressed(path, **payload)
+
+    @classmethod
+    def from_npz_payload(cls, data, prefix: str = "") -> "ReorderedStore":
+        """Rebuild from the key/value payload of :meth:`npz_payload`."""
+        return cls(
+            _read_payload(data, f"{prefix}inner_"),
+            np.asarray(data[f"{prefix}perm"], dtype=np.int64),
+            ordering=str(data[f"{prefix}ordering"]),
+        )
+
+    def save(self, path) -> None:
+        """Persist to ``.npz`` via :func:`repro.stores.save_store`."""
+        save_store(self, path)
 
     @classmethod
     def load(cls, path) -> "ReorderedStore":
         """Rebuild a reordered store saved by :meth:`save`."""
-        from ..bitpack.bitarray import BitArray
-        from ..csr.compact import CompactStore
-        from ..csr.packed import BitPackedCSR
-
-        with np.load(path) as data:
-            if "store_kind" not in data.files or str(data["store_kind"]) != "reordered":
-                raise ValidationError(f"{path} is not a reordered store file")
-            inner_kind = str(data["inner_kind"])
-            if inner_kind == "packed":
-                inner = BitPackedCSR(
-                    int(data["inner_num_nodes"]),
-                    int(data["inner_num_edges"]),
-                    BitArray(data["inner_offsets"], int(data["inner_offsets_nbits"])),
-                    int(data["inner_offset_width"]),
-                    BitArray(data["inner_columns"], int(data["inner_columns_nbits"])),
-                    int(data["inner_column_width"]),
-                    gap_encoded=bool(int(data["inner_gap_encoded"])),
-                )
-            elif inner_kind == "compact":
-                inner = CompactStore.from_npz_payload(data, prefix="inner_")
-            else:
-                raise ValidationError(f"unknown inner store kind '{inner_kind}'")
-            perm = np.asarray(data["perm"], dtype=np.int64)
-            ordering = str(data["ordering"])
-        return cls(inner, perm, ordering=ordering)
+        return load_store(path, expect=cls)
 
 
 def build_reordered_store(
@@ -266,7 +229,6 @@ def build_reordered_store(
     inner builder.
     """
     from ..csr.builder import build_csr_serial, ensure_sorted
-    from ..stores import inner_store_spec, open_store
 
     if inner == "reordered":
         raise ValidationError("reordered stores cannot nest directly")

@@ -176,7 +176,6 @@ class FrontDoor:
         self._slots[request.ticket] = slot
         self.coalescer.offer(request)
         self.admission.record_admitted(self.coalescer.pending)
-        self.metrics.record_depth(self.coalescer.pending)
         self.pump(now)
         return slot
 

@@ -25,6 +25,7 @@ from ..errors import QueryError, ValidationError
 from ..query.capabilities import capabilities
 from ..query.stores import dedup_batch
 from ..query.stores import neighbors_batch as _store_batch
+from ..stores import _read_payload, _write_payload, load_store, save_store
 from ..utils import human_bytes, require
 from .partition import Partitioner, partitioner_from_state
 
@@ -187,73 +188,33 @@ class ShardedStore:
             f"m={self.num_edges}, mem={human_bytes(self.memory_bytes())})"
         )
 
-    # -- persistence (packed shards) ------------------------------------
-    def save(self, path) -> None:
-        """Persist to ``.npz`` (bit-packed shards only).
-
-        Layout: routing state under ``partitioner_*`` keys plus each
-        shard's :class:`~repro.csr.BitPackedCSR` payload under a
-        ``shard{i}_`` prefix, so one file round-trips the whole store.
-        """
-        from ..csr.packed import BitPackedCSR
-
-        for s, shard in enumerate(self.shards):
-            if not isinstance(shard, BitPackedCSR):
-                raise ValidationError(
-                    f"only packed shards can be saved (shard {s} is "
-                    f"{type(shard).__name__})"
-                )
-        payload: dict = {"store_kind": "sharded", "num_shards": self.num_shards}
+    # -- persistence -----------------------------------------------------
+    def npz_payload(self, prefix: str = "") -> dict:
+        """The routing state under ``partitioner_*`` keys; each shard's
+        own payload goes through :mod:`repro.stores` under ``shard{i}_``."""
+        payload: dict = {f"{prefix}num_shards": self.num_shards}
         for key, value in self.partitioner.state().items():
-            payload[f"partitioner_{key}"] = value
+            payload[f"{prefix}partitioner_{key}"] = value
         for s, shard in enumerate(self.shards):
-            prefix = f"shard{s}_"
-            payload[f"{prefix}num_nodes"] = shard.num_nodes
-            payload[f"{prefix}num_edges"] = shard.num_edges
-            payload[f"{prefix}offset_width"] = shard.offset_width
-            payload[f"{prefix}column_width"] = shard.column_width
-            payload[f"{prefix}gap_encoded"] = int(shard.gap_encoded)
-            payload[f"{prefix}offsets"] = shard.offsets.buffer
-            payload[f"{prefix}offsets_nbits"] = shard.offsets.nbits
-            payload[f"{prefix}columns"] = shard.columns.buffer
-            payload[f"{prefix}columns_nbits"] = shard.columns.nbits
-        np.savez_compressed(path, **payload)
+            payload.update(_write_payload(shard, f"{prefix}shard{s}_"))
+        return payload
+
+    @classmethod
+    def from_npz_payload(cls, data, prefix: str = "") -> "ShardedStore":
+        """Rebuild from the key/value payload of :meth:`npz_payload`."""
+        head = f"{prefix}partitioner_"
+        state = {k[len(head):]: data[k] for k in data.files if k.startswith(head)}
+        shards = [
+            _read_payload(data, f"{prefix}shard{s}_")
+            for s in range(int(data[f"{prefix}num_shards"]))
+        ]
+        return cls(partitioner_from_state(state), shards)
+
+    def save(self, path) -> None:
+        """Persist to ``.npz`` via :func:`repro.stores.save_store`."""
+        save_store(self, path)
 
     @classmethod
     def load(cls, path) -> "ShardedStore":
-        """Rebuild a sharded packed store saved by :meth:`save`."""
-        from ..bitpack.bitarray import BitArray
-        from ..csr.packed import BitPackedCSR
-
-        with np.load(path) as data:
-            if "store_kind" not in data.files or str(data["store_kind"]) != "sharded":
-                raise ValidationError(f"{path} is not a sharded store file")
-            state = {
-                key[len("partitioner_"):]: data[key]
-                for key in data.files
-                if key.startswith("partitioner_")
-            }
-            if "kind" in state:
-                state["kind"] = str(state["kind"])
-            partitioner = partitioner_from_state(state)
-            shards = []
-            for s in range(int(data["num_shards"])):
-                prefix = f"shard{s}_"
-                shards.append(
-                    BitPackedCSR(
-                        int(data[f"{prefix}num_nodes"]),
-                        int(data[f"{prefix}num_edges"]),
-                        BitArray(
-                            data[f"{prefix}offsets"],
-                            int(data[f"{prefix}offsets_nbits"]),
-                        ),
-                        int(data[f"{prefix}offset_width"]),
-                        BitArray(
-                            data[f"{prefix}columns"],
-                            int(data[f"{prefix}columns_nbits"]),
-                        ),
-                        int(data[f"{prefix}column_width"]),
-                        gap_encoded=bool(int(data[f"{prefix}gap_encoded"])),
-                    )
-                )
-        return cls(partitioner, shards)
+        """Rebuild a sharded store saved by :meth:`save`."""
+        return load_store(path, expect=cls)

@@ -29,6 +29,7 @@ __all__ = [
     "available_stores",
     "inner_store_spec",
     "open_store",
+    "save_store",
     "load_store",
 ]
 
@@ -108,18 +109,37 @@ def open_store(kind: str, sources, destinations, n: int, **opts):
     return get_store_spec(kind).builder(sources, destinations, n, **opts)
 
 
-def load_store(path):
+def save_store(store, path) -> None:
+    """Persist *store* to one ``.npz`` file, behind every savable
+    class's ``save``.
+
+    The file is one flat key/value payload: the kind tag under
+    ``{prefix}store_kind`` plus the keys of the class's
+    ``npz_payload(prefix)``.  Composites write their own fields and hand
+    each inner store back to :func:`_write_payload` under a longer
+    prefix (``shard{i}_``, ``inner_``, ``segment{i}_``), so any nesting
+    of packed, gap and compact leaves round-trips.  A store with no
+    ``.npz`` form raises a one-line :class:`~repro.errors.ValidationError`.
+    """
+    import numpy as np
+
+    np.savez_compressed(path, **_write_payload(store))
+
+
+def load_store(path, *, expect=None):
     """Open a saved store: a disk-store directory or an ``.npz`` file.
 
     The load-side twin of :func:`open_store`, shared by the CLI and
     :class:`~repro.serve.config.ServerConfig`.  Directories open
     through :func:`~repro.disk.open_disk_store` (checksums verified,
     reordered stores re-wrapped); ``.npz`` files dispatch on their
-    ``store_kind`` key, falling back to packed-CSR key sniffing.  A
-    file matching no known kind raises a one-line
-    :class:`~repro.errors.ReproError` naming the file and the kinds
-    understood.
+    ``store_kind`` tag.  A file that is not a store, or names an
+    unknown kind, raises a one-line :class:`~repro.errors.ReproError`
+    naming the file.  With *expect* (a store class, as each savable
+    class's ``load`` passes), a store of any other class raises
+    :class:`~repro.errors.ValidationError`.
     """
+    import zipfile
     from pathlib import Path
 
     import numpy as np
@@ -130,50 +150,78 @@ def load_store(path):
     if p.is_dir():
         from .disk import open_disk_store
 
-        return open_disk_store(p)
-    import zipfile
-
-    try:
-        with np.load(p) as data:
-            files = set(data.files)
-            kind = str(data["store_kind"]) if "store_kind" in files else None
-    except (ValueError, zipfile.BadZipFile) as exc:
-        raise ReproError(
-            f"{path}: not a loadable store file ({exc})"
-        ) from exc
-    if kind is not None:
-        loaders = _npz_loaders()
-        if kind not in loaders:
-            known = ", ".join(sorted(loaders))
+        store = open_disk_store(p)
+    else:
+        try:
+            data = np.load(p)
+        except (ValueError, zipfile.BadZipFile) as exc:
             raise ReproError(
-                f"{path}: unknown store kind '{kind}' (known kinds: {known})"
-            )
-        return loaders[kind](path)
-    if {"num_nodes", "offsets", "columns"} <= files:
-        from .csr.packed import BitPackedCSR
+                f"{path}: not a loadable store file ({exc})"
+            ) from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ReproError(f"{path}: not a loadable store file (a bare .npy array)")
+        with data:
+            try:
+                store = _read_payload(data)
+            except KeyError as exc:
+                raise ValidationError(
+                    f"{path}: not a recognized store file ({exc.args[0]})"
+                ) from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
+    if expect is not None and type(store) is not expect:
+        raise ValidationError(
+            f"{path} holds a {type(store).__name__}, not a {expect.__name__}"
+        )
+    return store
 
-        return BitPackedCSR.load(path)
-    raise ReproError(
-        f"{path}: not a recognized store file (keys: {', '.join(sorted(files))}); "
-        "known kinds: packed CSR .npz, sharded/compact/reordered/lsm .npz, "
-        "disk-store directory"
-    )
 
-
-def _npz_loaders():
-    """Kind-tagged ``.npz`` loaders (imported lazily; composite stores
-    pull in their whole subpackage)."""
+def _payload_kinds() -> dict:
+    """Kind tag -> class, for every store with an ``.npz`` payload
+    (imported lazily: composites pull in their whole subpackage)."""
     from .csr.compact import CompactStore
+    from .csr.packed import BitPackedCSR
     from .lsm import LsmStore
     from .reorder import ReorderedStore
     from .shard import ShardedStore
 
     return {
-        "sharded": ShardedStore.load,
-        "compact": CompactStore.load,
-        "reordered": ReorderedStore.load,
-        "lsm": LsmStore.load,
+        "packed": BitPackedCSR,
+        "compact": CompactStore,
+        "sharded": ShardedStore,
+        "reordered": ReorderedStore,
+        "lsm": LsmStore,
     }
+
+
+def _write_payload(store, prefix: str = "") -> dict:
+    """*store*'s kind-tagged payload, every key under *prefix*."""
+    for kind, cls in _payload_kinds().items():
+        if type(store) is cls:
+            return {f"{prefix}store_kind": kind, **store.npz_payload(prefix)}
+    raise ValidationError(
+        f"{type(store).__name__} has no .npz form (only packed or compact "
+        "leaves save, alone or inside sharded, reordered and lsm stores)"
+    )
+
+
+def _read_payload(data, prefix: str = ""):
+    """Rebuild the store whose payload sits under *prefix* in *data*.
+
+    An untagged payload is packed: the first file format tagged only
+    composites, and its reordered files tagged their child
+    ``inner_kind``.
+    """
+    tag = f"{prefix}store_kind"
+    if tag not in data and prefix == "inner_":
+        tag = "inner_kind"
+    kind = str(data[tag]) if tag in data else "packed"
+    kinds = _payload_kinds()
+    if kind not in kinds:
+        raise ValidationError(
+            f"unknown store kind '{kind}' (known kinds: {', '.join(sorted(kinds))})"
+        )
+    return kinds[kind].from_npz_payload(data, prefix)
 
 
 # ----------------------------------------------------------------------

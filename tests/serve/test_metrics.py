@@ -63,8 +63,6 @@ class TestHistogram:
 class TestServeMetrics:
     def _filled(self):
         m = ServeMetrics()
-        m.record_depth(3)
-        m.record_depth(7)
         m.record_batch(4, "size", 1, 10_000.0)
         m.record_batch(2, "window", 0, 5_000.0)
         for i in range(6):
@@ -72,7 +70,12 @@ class TestServeMetrics:
         return m
 
     def test_snapshot_counters(self):
-        snap = self._filled().snapshot()
+        from repro.serve import AdmissionController
+
+        ac = AdmissionController(16, "reject")
+        ac.record_admitted(3)
+        ac.record_admitted(7)
+        snap = self._filled().snapshot(ac.stats())
         assert snap.completed == 6
         assert snap.batches == 2
         assert snap.close_reasons == {"size": 1, "window": 1}

@@ -166,3 +166,142 @@ class TestProtocolConformance:
              "edgelist", "edgelist-unsorted", "adjmatrix", "bitmatrix",
              "k2tree", "compact", "reordered", "lsm"]
         ), "new registered kinds must be added to TestProtocolConformance"
+
+
+def _live_lsm(src, dst, n, **opts):
+    """An lsm store with a resident memtable: one insert, one delete."""
+    store = open_store("lsm", src, dst, n, **opts)
+    store.insert_edge(1, int(np.setdiff1d(np.arange(n), store.neighbors(1))[0]))
+    store.delete_edge(int(src[0]), int(dst[0]))
+    assert len(store.memtable) == 2
+    return store
+
+
+ROUND_TRIPS = {
+    "packed": lambda s, d, n: open_store("packed", s, d, n),
+    "gap": lambda s, d, n: open_store("gap", s, d, n),
+    "compact": lambda s, d, n: open_store("compact", s, d, n),
+    **{
+        f"sharded-{inner}": (
+            lambda s, d, n, inner=inner: open_store(
+                "sharded", s, d, n, shards=3, partitioner="hash", inner=inner
+            )
+        )
+        for inner in ("packed", "gap", "compact")
+    },
+    **{
+        f"reordered-{inner}": (
+            lambda s, d, n, inner=inner: open_store(
+                "reordered", s, d, n, order="degree", inner=inner
+            )
+        )
+        for inner in ("packed", "compact", "sharded")
+    },
+    **{
+        f"lsm-{inner}": lambda s, d, n, inner=inner: _live_lsm(s, d, n, inner=inner)
+        for inner in ("packed", "gap", "compact")
+    },
+}
+
+
+class TestStoreFiles:
+    """One .npz format: every savable nesting round-trips through
+    save + load_store, and everything else refuses with one line."""
+
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_round_trip_bit_exact(self, edges, tmp_path, case):
+        from repro.stores import load_store
+
+        src, dst, n = edges
+        store = ROUND_TRIPS[case](src, dst, n)
+        path = tmp_path / f"{case}.npz"
+        store.save(path)
+        loaded = load_store(path)
+        assert type(loaded) is type(store)
+        assert type(store).load(path).num_edges == store.num_edges
+        ids = np.arange(n)
+        f1, o1 = store.neighbors_batch(ids)
+        f2, o2 = loaded.neighbors_batch(ids)
+        assert f2.dtype == f1.dtype and np.array_equal(f1, f2)
+        assert np.array_equal(o1, o2)
+
+    def test_lsm_keeps_inner_opts(self, edges, tmp_path):
+        from repro.lsm import LsmStore
+
+        src, dst, n = edges
+        store = open_store("lsm", src, dst, n, inner="packed", gap_encode=True)
+        path = tmp_path / "lsm.npz"
+        store.save(path)
+        loaded = LsmStore.load(path)
+        assert loaded.inner_opts == {"gap_encode": True}
+        for lsm in (store, loaded):
+            lsm.insert_edge(2, int(np.setdiff1d(np.arange(n), lsm.neighbors(2))[0]))
+            lsm.compact()
+            assert lsm.segments[0].gap_encoded
+
+    @pytest.mark.parametrize("kind,opts", [
+        ("sharded", {"shards": 2, "inner": "csr"}),
+        ("sharded", {"shards": 2, "cache_elements": 64}),
+        ("lsm", {"inner": "disk"}),
+    ])
+    def test_no_payload_refuses_in_one_line(self, edges, tmp_path, kind, opts):
+        src, dst, n = edges
+        store = open_store(kind, src, dst, n, **opts)
+        with pytest.raises(ValidationError, match="no .npz form") as excinfo:
+            store.save(tmp_path / "x.npz")
+        assert "\n" not in str(excinfo.value)
+
+    def test_unknown_kind_names_file(self, tmp_path):
+        from repro.errors import ReproError
+        from repro.stores import load_store
+
+        path = tmp_path / "btree.npz"
+        np.savez(path, store_kind="btree")
+        with pytest.raises(ReproError, match="unknown store kind 'btree'") as excinfo:
+            load_store(path)
+        assert str(path) in str(excinfo.value)
+        assert "\n" not in str(excinfo.value)
+
+    def test_unrelated_npz_names_file(self, edges, tmp_path):
+        from repro.csr import build_csr_serial
+        from repro.csr.io import save_csr
+        from repro.errors import ReproError
+        from repro.stores import load_store
+
+        src, dst, n = edges
+        path = tmp_path / "graph.npz"
+        save_csr(path, build_csr_serial(src, dst, n))
+        with pytest.raises(ReproError, match="not a recognized store file") as excinfo:
+            load_store(path)
+        assert str(path) in str(excinfo.value)
+        assert "\n" not in str(excinfo.value)
+
+    def test_bare_npy_names_file(self, tmp_path):
+        from repro.errors import ReproError
+        from repro.stores import load_store
+
+        path = tmp_path / "ids.npy"
+        np.save(path, np.arange(4))
+        with pytest.raises(ReproError, match="not a loadable store file") as excinfo:
+            load_store(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_packed_payload_key_layout(self, edges):
+        """The packed payload is the paper's stored form (packed iA and
+        jA plus widths); pin its keys so the file format cannot drift."""
+        from repro.csr.packed import build_bitpacked_csr
+        from repro.stores import _write_payload
+
+        src, dst, n = edges
+        base = {"num_nodes", "num_edges", "offset_width", "column_width",
+                "gap_encoded", "offsets", "offsets_nbits", "columns",
+                "columns_nbits"}
+        packed = open_store("packed", src, dst, n)
+        assert set(packed.npz_payload("p_")) == {f"p_{k}" for k in base}
+        assert set(_write_payload(packed, "p_")) == {
+            f"p_{k}" for k in base | {"store_kind"}
+        }
+        weighted = build_bitpacked_csr(src, dst, n, weights=np.ones_like(src))
+        assert set(weighted.npz_payload("p_")) == {
+            f"p_{k}" for k in base | {"values", "values_nbits", "values_width"}
+        }
